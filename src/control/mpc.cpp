@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "linalg/qr.h"
 
 namespace eucon::control {
 
@@ -96,14 +97,30 @@ MpcMatrices build_mpc_matrices(const PlantModel& model, const MpcParams& params)
   return mats;
 }
 
+MpcGains build_mpc_gains(const PlantModel& model, const MpcParams& params) {
+  const MpcMatrices mats = build_mpc_matrices(model, params);
+  const Matrix d = params.penalty_form == PenaltyForm::kDeltaDeltaRate
+                       ? linalg::hstack(mats.du, mats.dr)
+                       : mats.du;
+  const linalg::Qr qr(mats.c);
+  // The control-penalty rows put sqrt(R) (R > 0, validated) on C's diagonal
+  // below the tracking blocks, so C always has full column rank.
+  EUCON_ASSERT(qr.full_rank(), "MPC least-squares matrix is rank deficient");
+  MpcGains gains;
+  gains.k = qr.solve_least_squares(d);
+  gains.g = linalg::transpose_times(mats.c, d);
+  gains.h = linalg::gram(mats.c);
+  gains.h *= 2.0;
+  return gains;
+}
+
 MpcController::MpcController(PlantModel model, MpcParams params,
                              Vector initial_rates,
                              qp::QpWorkspace* shared_workspace)
     : model_(std::move(model)),
       active_model_(model_),
       params_(std::move(params)),
-      mats_(build_mpc_matrices(active_model_, params_)),
-      solver_(mats_.c),
+      gains_(build_mpc_gains(active_model_, params_)),
       enabled_(model_.num_tasks(), true),
       tracked_(model_.num_processors(), true),
       tracked_count_(model_.num_processors()),
@@ -127,16 +144,16 @@ void MpcController::set_set_points(const Vector& b) {
 void MpcController::rebuild_active_model() {
   // Untracked processors keep their du rows in build_mpc_matrices (sq·shape
   // entries), but their C tracking rows are all zero here, so the residual
-  // on those rows is a constant — it shifts the cost, never the argmin. C
-  // keeps full column rank through the control-penalty rows regardless.
+  // on those rows is a constant — it shifts the cost, never the argmin (K
+  // and G get zero columns for them). C keeps full column rank through the
+  // control-penalty rows regardless.
   active_model_.f = model_.f;
   for (std::size_t i = 0; i < active_model_.f.rows(); ++i)
     for (std::size_t j = 0; j < active_model_.f.cols(); ++j)
       active_model_.f(i, j) = tracked_[i] && enabled_[j]
                                   ? gain_estimate_[i] * model_.f(i, j)
                                   : 0.0;
-  mats_ = build_mpc_matrices(active_model_, params_);
-  solver_.reset(mats_.c);
+  gains_ = build_mpc_gains(active_model_, params_);
   rebuild_constraint_templates();
 }
 
@@ -156,6 +173,9 @@ void MpcController::rebuild_constraint_templates() {
 
   a_full_ = Matrix(util_rows + rate_rows, cols);
   a_rates_ = Matrix(rate_rows, cols);
+  v_ = Vector(gains_.k.cols());
+  f_ = Vector(cols);
+  qp_res_.x = Vector(cols);
   x_zero_ = Vector(cols, 0.0);
   x_drop_ = Vector(cols, 0.0);
 
@@ -256,14 +276,6 @@ void MpcController::set_gain_estimate(const linalg::Vector& gains) {
   rebuild_active_model();
 }
 
-void MpcController::assemble_d(const Vector& u) {
-  b_minus_u_ = active_model_.b;
-  b_minus_u_ -= u;
-  linalg::multiply_into(mats_.du, b_minus_u_, d_);
-  linalg::multiply_into(mats_.dr, dr_prev_, d_tail_);
-  d_ += d_tail_;
-}
-
 void MpcController::fill_constraint_rhs(const Vector& u, bool with_util_rows,
                                         Vector& b) const {
   const std::size_t n = active_model_.num_processors();
@@ -292,18 +304,53 @@ void MpcController::fill_constraint_rhs(const Vector& u, bool with_util_rows,
   }
 }
 
+bool MpcController::unconstrained_feasible(const Vector& x,
+                                           bool with_util_rows) const {
+  const double tol = params_.solver.constraint_tol;
+  const Matrix& a = with_util_rows ? a_full_ : a_rates_;
+  // A non-finite x makes the dense rows' 0·x terms NaN, which
+  // max_violation skips; only the dense template reproduces that exactly.
+  for (std::size_t c = 0; c < x.size(); ++c)
+    if (!std::isfinite(x[c])) return qp::max_violation(a, b_scratch_, x) <= tol;
+  if (!(tol >= 0.0)) return false;  // max_violation never reads below 0
+
+  // A violation v > tol fails; a NaN v (from a NaN right-hand side) is
+  // skipped, as max_violation's std::max skips it.
+  const std::size_t m = active_model_.num_tasks();
+  const std::size_t util_rows = a.rows() - a_rates_.rows();
+  for (std::size_t row = 0; row < util_rows; ++row)
+    if (linalg::row_dot(a, row, x) - b_scratch_[row] > tol) return false;
+  // Rate-box block i (i = 1..M) bounds r(k+i-1|k) - r(k-1) = Σ_{blk<i} x_blk:
+  // m upper rows (+S_i) then m lower rows (-S_i). Finite x: the dense
+  // row's zero terms add nothing, so the running sum is its row_dot.
+  for (std::size_t j = 0; j < m; ++j) {
+    double cum = 0.0;
+    std::size_t row = util_rows;
+    for (int i = 0; i < params_.control_horizon; ++i, row += 2 * m) {
+      cum += x[static_cast<std::size_t>(i) * m + j];
+      if (cum - b_scratch_[row + j] > tol) return false;
+      if (-cum - b_scratch_[row + m + j] > tol) return false;
+    }
+  }
+  return true;
+}
+
 const Vector& MpcController::update(const Vector& u) {
   EUCON_REQUIRE(u.size() == active_model_.num_processors(),
                 "utilization vector size mismatch");
   EUCON_CHECK_FINITE_VEC("MpcController::update input u", u);
   OBS_TIMED(metrics_, "mpc.update");
   ++update_count_;
+  const std::size_t n = active_model_.num_processors();
   const std::size_t m = active_model_.num_tasks();
 
   const bool want_util_rows =
       params_.constraint_mode == ConstraintMode::kHardWithFallback;
 
-  assemble_d(u);
+  // Gain input v = [B - u(k); Δr(k-1)] (the tail exists only when K has
+  // the Δr(k-1) columns).
+  for (std::size_t i = 0; i < n; ++i) v_[i] = active_model_.b[i] - u[i];
+  for (std::size_t j = n; j < v_.size(); ++j) v_[j] = dr_prev_[j - n];
 
   // Feasible starting points (F >= 0 elementwise, so pushing every rate to
   // R_min minimizes every predicted utilization):
@@ -318,7 +365,7 @@ const Vector& MpcController::update(const Vector& u) {
   const Vector* x0 = nullptr;
   if (util_rows) {
     bool zero_ok = true, drop_ok = true;
-    for (std::size_t i = 0; i < active_model_.num_processors(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       if (!tracked_[i]) continue;  // no util rows for untracked processors
       if (u[i] > active_model_.b[i] + tol) zero_ok = false;
       double u_drop = u[i];
@@ -345,24 +392,38 @@ const Vector& MpcController::update(const Vector& u) {
   qp::WarmStart& warm = util_rows ? warm_full_ : warm_rates_;
   {
     OBS_TIMED(metrics_, "qp.solve");
-    solver_.solve_into(d_, a, b_scratch_, x0, params_.solver, &warm,
-                       active_workspace(), result_);
+    // Fast path: the unconstrained minimizer x* = K v. Feasible ⇒ optimal
+    // (the constrained optimum can never beat the unconstrained one).
+    linalg::multiply_into(gains_.k, v_, qp_res_.x);
+    last_fast_path_ = unconstrained_feasible(qp_res_.x, util_rows);
+    if (last_fast_path_) {
+      qp_res_.status = qp::Status::kOptimal;
+      qp_res_.iterations = 0;
+      // The working set at an interior optimum is empty; hand that to the
+      // next solve rather than a stale set.
+      warm.working.clear();
+    } else {
+      // Miss: the active-set QP on 0.5 x'Hx + f'x with f = -2 G v.
+      linalg::multiply_into(gains_.g, v_, f_);
+      f_ *= -2.0;
+      qp::solve_qp_into(gains_.h, f_, a, b_scratch_, x0, params_.solver,
+                        &warm, active_workspace(), qp_res_);
+    }
   }
-  last_status_ = result_.status;
-  last_iterations_ = result_.iterations;
-  last_fast_path_ = result_.fast_path;
+  last_status_ = qp_res_.status;
+  last_iterations_ = qp_res_.iterations;
   last_used_fallback_ = want_util_rows && !util_rows;
   last_used_util_rows_ = util_rows;
-  qp_iterations_total_ += result_.iterations < 0
+  qp_iterations_total_ += qp_res_.iterations < 0
                               ? 0u
-                              : static_cast<std::uint64_t>(result_.iterations);
-  if (result_.fast_path) ++fast_path_hits_;
+                              : static_cast<std::uint64_t>(qp_res_.iterations);
+  if (last_fast_path_) ++fast_path_hits_;
 
   // Receding horizon: apply only Δr(k|k), clamped into the rate box.
   // Suspended tasks stay frozen. All in place: update() is EUCON_REALTIME,
   // so no temporaries.
   for (std::size_t j = 0; j < m; ++j) {
-    const double dr = enabled_[j] ? result_.x[j] : 0.0;
+    const double dr = enabled_[j] ? qp_res_.x[j] : 0.0;
     const double clamped = std::clamp(rates_[j] + dr, active_model_.rate_min[j],
                                       active_model_.rate_max[j]);
     dr_prev_[j] = clamped - rates_[j];

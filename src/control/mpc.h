@@ -11,8 +11,10 @@
 // u(k+i|k) = u(k) + F Σ_{j<=min(i,M)-1} Δr(k+j|k) and the exponential
 // reference trajectory (eq. 8). Only Δr(k|k) is applied (receding horizon).
 //
-// The optimization is a constrained least-squares problem solved with the
-// in-repo active-set lsqlin (the paper used MATLAB's).
+// The optimization is a constrained least-squares problem (the paper used
+// MATLAB's lsqlin). Its unconstrained optimum is linear in the measured
+// error, so the controller keeps the explicit gains (MpcGains) and runs the
+// in-repo active-set QP only when that optimum violates a constraint.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +23,7 @@
 #include "control/controller.h"
 #include "control/model.h"
 #include "obs/registry.h"
-#include "qp/lsqlin.h"
+#include "qp/active_set.h"
 
 namespace eucon::control {
 
@@ -61,8 +63,8 @@ struct MpcParams {
   void validate(std::size_t n, std::size_t m) const;
 };
 
-// The constant matrices of the quadratic program. d(k) is assembled per
-// period as  d = du (B - u(k)) + dr Δr(k-1).
+// The dense constant matrices of the least-squares problem
+// min ||C x - d(k)||², with  d(k) = du (B - u(k)) + dr Δr(k-1).
 struct MpcMatrices {
   linalg::Matrix c;   // (nP + mM) × mM stacked least-squares matrix
   linalg::Matrix du;  // (nP + mM) × n
@@ -70,6 +72,22 @@ struct MpcMatrices {
 };
 
 MpcMatrices build_mpc_matrices(const PlantModel& model, const MpcParams& params);
+
+// The explicit form of the same problem. With the gain input
+// v(k) = [B - u(k); Δr(k-1)], d(k) = [du | dr] v(k), so
+//   * the unconstrained minimizer of ||C x - d||² is x* = K v,
+//     K = C⁺ [du | dr] (its first m rows are §6.2's K1 | K2);
+//   * the QP's linear term is f = -2 C'd = -2 G v, G = C' [du | dr];
+//   * the QP Hessian is H = 2 C'C.
+// dr is nonzero only under kDeltaDeltaRate; under kDeltaRate the Δr(k-1)
+// half is dropped, so v = B - u(k) and K, G have n columns, not n + m.
+struct MpcGains {
+  linalg::Matrix k;  // mM × (n [+ m])
+  linalg::Matrix g;  // mM × (n [+ m])
+  linalg::Matrix h;  // mM × mM
+};
+
+MpcGains build_mpc_gains(const PlantModel& model, const MpcParams& params);
 
 class MpcController final : public Controller {
  public:
@@ -141,7 +159,7 @@ class MpcController final : public Controller {
 
   // Per-period solver observability (the trace layer reads these right
   // after update()): active-set iterations of the last solve, whether the
-  // cached-QR fast path short-circuited it, whether the utilization rows
+  // explicit-gain fast path short-circuited it, whether the utilization rows
   // were dropped (infeasible instance), and the final working set.
   int last_iterations() const { return last_iterations_; }
   bool last_fast_path() const { return last_fast_path_; }
@@ -176,18 +194,19 @@ class MpcController final : public Controller {
   // Fills the per-period right-hand side for the chosen template in place.
   void fill_constraint_rhs(const linalg::Vector& u, bool with_util_rows,
                            linalg::Vector& b) const;
-  // Assembles d(k) = du (B - u(k)) + dr Δr(k-1) into the d_ scratch.
-  void assemble_d(const linalg::Vector& u);
-  // Recomputes active_model_.f = diag(gain) * (mask-filtered F), the MPC
-  // matrices, the solver's cached factorization and the constraint
-  // templates.
+  // The fast-path acceptance rule: true iff
+  // qp::max_violation(template, b_scratch_, x) <= constraint_tol, where the
+  // rate-box rows are read as cumulative sums of x instead of dense rows.
+  bool unconstrained_feasible(const linalg::Vector& x,
+                              bool with_util_rows) const;
+  // Recomputes active_model_.f = diag(gain) * (mask-filtered F), the
+  // explicit gains and the constraint templates.
   void rebuild_active_model();
 
   PlantModel model_;       // as configured
   PlantModel active_model_;  // with suspended tasks' columns zeroed
   MpcParams params_;
-  MpcMatrices mats_;
-  qp::LsqlinSolver solver_;  // caches the factorization of mats_.c
+  MpcGains gains_;  // K, G, H of active_model_
   std::vector<bool> enabled_;
   std::vector<bool> tracked_;      // per-processor; false = stale, ignored
   std::size_t tracked_count_ = 0;  // number of true flags in tracked_
@@ -211,12 +230,11 @@ class MpcController final : public Controller {
   linalg::Matrix a_full_;    // util rows + rate rows
   linalg::Matrix a_rates_;   // rate rows only
   linalg::Vector b_scratch_;
-  linalg::Vector d_;
-  linalg::Vector d_tail_;    // dr Δr(k-1) term
-  linalg::Vector b_minus_u_;
+  linalg::Vector v_;         // gain input [B - u(k); Δr(k-1)]
+  linalg::Vector f_;         // QP linear term -2 G v (miss path only)
   linalg::Vector x_zero_;    // all-zero warm start for the fallback retry
   linalg::Vector x_drop_;    // Δr = -r(k-1) "drop everything" feasibility probe
-  qp::LsqlinResult result_;  // per-period solver result (x reused as scratch)
+  qp::Result qp_res_;        // per-period solution (x reused as scratch)
   qp::WarmStart warm_full_;
   qp::WarmStart warm_rates_;
   // Active-set QP scratch, reserved for the larger constraint template so a

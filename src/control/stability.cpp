@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "linalg/eig.h"
-#include "linalg/qr.h"
 
 namespace eucon::control {
 
@@ -11,23 +10,15 @@ using linalg::Vector;
 
 StabilityAnalyzer::StabilityAnalyzer(PlantModel model, MpcParams params)
     : model_(std::move(model)), params_(std::move(params)) {
-  const MpcMatrices mats = build_mpc_matrices(model_, params_);
   const std::size_t n = model_.num_processors();
   const std::size_t m = model_.num_tasks();
 
-  // Unconstrained optimum: x* = C⁺ (du (B-u) + dr Δr_prev); the applied
-  // input is its first block, so K1 = E0 C⁺ du and K2 = E0 C⁺ dr.
-  const linalg::Qr qr(mats.c);
-  k1_ = Matrix(m, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const Vector x = qr.solve_least_squares(mats.du.col(j));
-    for (std::size_t i = 0; i < m; ++i) k1_(i, j) = x[i];
-  }
-  k2_ = Matrix(m, m);
-  for (std::size_t j = 0; j < m; ++j) {
-    const Vector x = qr.solve_least_squares(mats.dr.col(j));
-    for (std::size_t i = 0; i < m; ++i) k2_(i, j) = x[i];
-  }
+  // Unconstrained optimum: x* = K [B-u; Δr_prev]; the applied input is its
+  // first block, so K1 and K2 are K's first m rows. Under kDeltaRate K has
+  // no Δr_prev columns: K2 = 0.
+  const Matrix k = build_mpc_gains(model_, params_).k;
+  k1_ = k.block(0, 0, m, n);
+  k2_ = k.cols() > n ? k.block(0, n, m, m) : Matrix(m, m);
 }
 
 Matrix StabilityAnalyzer::closed_loop_matrix(const Vector& gains) const {

@@ -193,17 +193,28 @@ Vector transpose_times(const Matrix& a, const Vector& x) {
   return y;
 }
 
-Matrix gram(const Matrix& a) {
-  Matrix g(a.cols(), a.cols());
-  for (std::size_t i = 0; i < a.cols(); ++i) {
-    for (std::size_t j = i; j < a.cols(); ++j) {
-      double acc = 0.0;
-      for (std::size_t r = 0; r < a.rows(); ++r) acc += a(r, i) * a(r, j);
-      g(i, j) = acc;
-      g(j, i) = acc;
+Matrix transpose_times(const Matrix& a, const Matrix& b) {
+  EUCON_REQUIRE(a.rows() == b.rows(), "transpose_times size mismatch");
+  // Row by row over the shared dimension, so every read is contiguous;
+  // each entry sums over rows in order.
+  Matrix out(a.cols(), b.cols());
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const double* arow = a.row_ptr(r);
+    const double* brow = b.row_ptr(r);
+    for (std::size_t i = 0; i < a.cols(); ++i) {
+      const double ari = arow[i];
+      if (ari == 0.0) continue;  // eucon-lint: allow(float-equality)
+      double* orow = out.row_ptr(i);
+      for (std::size_t c = 0; c < b.cols(); ++c) orow[c] += ari * brow[c];
     }
   }
-  EUCON_CHECK_FINITE_MAT("gram", g);
+  EUCON_CHECK_FINITE_MAT("transpose_times", out);
+  return out;
+}
+
+Matrix gram(const Matrix& a) {
+  Matrix g;
+  gram_into(a, g);
   return g;
 }
 
@@ -233,17 +244,26 @@ void transpose_times_into(const Matrix& a, const Vector& x, Vector& out) {
 }
 
 void gram_into(const Matrix& a, Matrix& out) {
+  const std::size_t n = a.cols();
   // Reshape only when the geometry changed (model rebuild, not per period).
-  if (out.rows() != a.cols() || out.cols() != a.cols())
-    out = Matrix(a.cols(), a.cols());  // eucon-lint: allow(allocation-in-realtime)
-  for (std::size_t i = 0; i < a.cols(); ++i) {
-    for (std::size_t j = i; j < a.cols(); ++j) {
-      double acc = 0.0;
-      for (std::size_t r = 0; r < a.rows(); ++r) acc += a(r, i) * a(r, j);
-      out(i, j) = acc;
-      out(j, i) = acc;
+  if (out.rows() != n || out.cols() != n)
+    out = Matrix(n, n);  // eucon-lint: allow(allocation-in-realtime)
+  out.fill(0.0);
+  // Accumulate the upper triangle one row of A at a time, so every read is
+  // contiguous. Each entry still sums a(r,i)·a(r,j) over r in order, the
+  // order of a column-pair dot product; for finite A, skipping a zero
+  // a(r,i) only skips exact zeros, so the result is the same to the bit.
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const double* row = a.row_ptr(r);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double ari = row[i];
+      if (ari == 0.0) continue;  // eucon-lint: allow(float-equality)
+      double* gi = out.row_ptr(i);
+      for (std::size_t j = i; j < n; ++j) gi[j] += ari * row[j];
     }
   }
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) out(j, i) = out(i, j);
   EUCON_CHECK_FINITE_MAT("gram_into", out);
 }
 

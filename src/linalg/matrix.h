@@ -86,7 +86,9 @@ Vector operator*(const Matrix& a, const Vector& x);
 
 // y = A^T x without forming the transpose.
 Vector transpose_times(const Matrix& a, const Vector& x);
-// A^T A (symmetric; computed directly).
+// A^T B without forming the transpose (row-oriented).
+Matrix transpose_times(const Matrix& a, const Matrix& b);
+// A^T A (symmetric; computed directly, row-oriented).
 Matrix gram(const Matrix& a);
 
 // Scratch-buffer variants for per-period hot paths (MPC controller / QP):

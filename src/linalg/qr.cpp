@@ -8,7 +8,38 @@ namespace eucon::linalg {
 
 namespace {
 constexpr double kRankTol = 1e-12;
+
+// Rank-1 update Y -= v s^T over columns [c0, Y.cols()), with the Householder
+// vector v of reflection k stored as in Qr: head `vkk` at row k, tail below
+// the diagonal of column k of `qr`. Rows run contiguously. `y` may alias
+// `qr` when c0 > k (column k is read, never written).
+void apply_reflector(const Matrix& qr, std::size_t k, double vkk,
+                     const std::vector<double>& s, std::size_t c0, Matrix& y) {
+  double* rowk = y.row_ptr(k);
+  for (std::size_t j = c0; j < y.cols(); ++j) rowk[j] -= s[j] * vkk;
+  for (std::size_t i = k + 1; i < y.rows(); ++i) {
+    const double vi = qr(i, k);
+    double* row = y.row_ptr(i);
+    for (std::size_t j = c0; j < y.cols(); ++j) row[j] -= s[j] * vi;
+  }
 }
+
+// s = beta v^T Y over columns [c0, Y.cols()), accumulated over rows so each
+// entry sums in row order — the order of a column-at-a-time dot product, so
+// the result is the same to the bit.
+void reflector_weights(const Matrix& qr, std::size_t k, double vkk, double beta,
+                       const Matrix& y, std::size_t c0, std::vector<double>& s) {
+  const double* rowk = y.row_ptr(k);
+  for (std::size_t j = c0; j < y.cols(); ++j) s[j] = vkk * rowk[j];
+  for (std::size_t i = k + 1; i < y.rows(); ++i) {
+    const double vi = qr(i, k);
+    const double* row = y.row_ptr(i);
+    for (std::size_t j = c0; j < y.cols(); ++j) s[j] += vi * row[j];
+  }
+  for (std::size_t j = c0; j < y.cols(); ++j) s[j] *= beta;
+}
+
+}  // namespace
 
 Qr::Qr(const Matrix& a)
     : m_(a.rows()), n_(a.cols()), qr_(a), beta_(n_, 0.0), vk_head_(n_, 0.0) {
@@ -17,6 +48,7 @@ Qr::Qr(const Matrix& a)
   double scale = qr_.frobenius_norm();
   if (scale == 0.0) scale = 1.0;  // eucon-lint: allow(float-equality)
 
+  std::vector<double> s(n_);
   for (std::size_t k = 0; k < n_; ++k) {
     // Householder reflection zeroing column k below the diagonal.
     double norm = 0.0;
@@ -37,13 +69,8 @@ Qr::Qr(const Matrix& a)
 
     // Apply H = I - beta v v^T to the trailing columns. The tail of v stays
     // stored below the diagonal of column k.
-    for (std::size_t j = k + 1; j < n_; ++j) {
-      double dot = vkk * qr_(k, j);
-      for (std::size_t i = k + 1; i < m_; ++i) dot += qr_(i, k) * qr_(i, j);
-      const double s = beta_[k] * dot;
-      qr_(k, j) -= s * vkk;
-      for (std::size_t i = k + 1; i < m_; ++i) qr_(i, j) -= s * qr_(i, k);
-    }
+    reflector_weights(qr_, k, vkk, beta_[k], qr_, k + 1, s);
+    apply_reflector(qr_, k, vkk, s, k + 1, qr_);
   }
 }
 
@@ -94,6 +121,36 @@ void Qr::solve_least_squares_into(const Vector& b, Vector& y, Vector& x) const {
     x[ii] = acc / qr_(ii, ii);
   }
   EUCON_CHECK_FINITE_VEC("Qr::solve_least_squares result", x);
+}
+
+Matrix Qr::solve_least_squares(const Matrix& b) const {
+  if (!full_rank_)
+    EUCON_FAIL("Qr::solve_least_squares: rank-deficient matrix");
+  EUCON_REQUIRE(b.rows() == m_, "solve_least_squares size mismatch");
+  // Q^T B, one reflection at a time over every column at once.
+  Matrix y = b;
+  std::vector<double> s(b.cols());
+  for (std::size_t k = 0; k < n_; ++k) {
+    if (beta_[k] == 0.0) continue;  // eucon-lint: allow(float-equality)
+    reflector_weights(qr_, k, vk_head_[k], beta_[k], y, 0, s);
+    apply_reflector(qr_, k, vk_head_[k], s, 0, y);
+  }
+  // Back-substitution R X = (Q^T B)[0:n), row by row.
+  Matrix x(n_, b.cols());
+  for (std::size_t ii = n_; ii-- > 0;) {
+    double* xrow = x.row_ptr(ii);
+    const double* yrow = y.row_ptr(ii);
+    for (std::size_t c = 0; c < b.cols(); ++c) xrow[c] = yrow[c];
+    for (std::size_t j = ii + 1; j < n_; ++j) {
+      const double rij = qr_(ii, j);
+      const double* xj = x.row_ptr(j);
+      for (std::size_t c = 0; c < b.cols(); ++c) xrow[c] -= rij * xj[c];
+    }
+    const double rii = qr_(ii, ii);
+    for (std::size_t c = 0; c < b.cols(); ++c) xrow[c] /= rii;
+  }
+  EUCON_CHECK_FINITE_MAT("Qr::solve_least_squares result", x);
+  return x;
 }
 
 Vector least_squares(const Matrix& a, const Vector& b) {

@@ -28,6 +28,11 @@ class Qr {
   void solve_least_squares_into(const Vector& b, Vector& y,
                                 Vector& x) const EUCON_REALTIME;
 
+  // Minimizes ||A X - B||_F column by column, for every column of B at once
+  // (row-oriented; each column equals solve_least_squares(B.col(j)) to the
+  // bit). Throws std::runtime_error when rank deficient.
+  Matrix solve_least_squares(const Matrix& b) const;
+
   // The upper-triangular factor (n×n).
   Matrix r() const;
   // Applies Q^T to a vector of length m.

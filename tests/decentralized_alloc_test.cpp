@@ -1,9 +1,10 @@
-// Proves the allocation-free steady-state contract of the decentralized
-// and hierarchical update paths: once construction and a warm-up stretch
-// have grown every buffer (node gather scratch, QP workspace, warm-start
-// working sets) to its high-water mark, a sampling period's update() —
-// neighborhood gather, local MPC solves, rate scatter included — touches
-// the heap exactly zero times.
+// Proves the allocation-free steady-state contract of the MPC update paths
+// (central, decentralized and hierarchical): once construction and a
+// warm-up stretch have grown every buffer (node gather scratch, QP
+// workspace, warm-start working sets) to its high-water mark, a sampling
+// period's update() — neighborhood gather, explicit-gain fast path, QP
+// miss, utilization-row fallback, rate scatter included — touches the heap
+// exactly zero times.
 //
 // The proof instrument is a replacement global operator new in this TU
 // (same idiom as qp_alloc_test; it stays a separate binary so the hook
@@ -18,6 +19,7 @@
 #include "control/decentralized.h"
 #include "control/hierarchical.h"
 #include "control/model.h"
+#include "control/mpc.h"
 #include "control/sparse_model.h"
 #include "eucon/workloads.h"
 
@@ -65,6 +67,43 @@ struct CountScope {
 // touching the heap.
 void perturb(Vector& u, const Vector& b, int k) {
   u[0] = b[0] + 0.02 * static_cast<double>(k % 3 - 1);
+}
+
+// Cycles the plain MPC through its three branches: on target (fast-path
+// hit), far below target (the rate box binds: QP miss) and far above it
+// (no rate vector meets u <= B: the utilization rows drop, then return).
+void mpc_cycle(Vector& u, const Vector& b, int k) {
+  const double scale = k % 3 == 0 ? 1.0 : (k % 3 == 1 ? 0.1 : 3.0);
+  for (std::size_t i = 0; i < u.size(); ++i) u[i] = scale * b[i];
+}
+
+TEST(DecentralizedAllocTest, MpcUpdateIsAllocationFreeAcrossBranches) {
+  const PlantModel model = make_plant_model(workloads::medium());
+  MpcController ctrl(model, workloads::medium_controller_params(),
+                     workloads::medium().initial_rate_vector());
+
+  Vector u = model.b;
+  for (int k = 0; k < 30; ++k) {
+    mpc_cycle(u, model.b, k);
+    ctrl.update(u);
+  }
+
+  const std::uint64_t hits0 = ctrl.fast_path_hits();
+  const std::uint64_t updates0 = ctrl.update_count();
+  const std::uint64_t fallbacks0 = ctrl.fallback_count();
+  {
+    const CountScope scope;
+    for (int k = 0; k < 30; ++k) {
+      mpc_cycle(u, model.b, k);
+      ctrl.update(u);
+    }
+  }
+  EXPECT_EQ(CountScope::count(), 0u);
+  // Every branch ran inside the counted region.
+  const std::uint64_t hits = ctrl.fast_path_hits() - hits0;
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(ctrl.update_count() - updates0 - hits, 0u);
+  EXPECT_GT(ctrl.fallback_count() - fallbacks0, 0u);
 }
 
 TEST(DecentralizedAllocTest, UpdateIsAllocationFreeAfterWarmup) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <utility>
+
 #include "common/rng.h"
 
 namespace eucon::linalg {
@@ -78,6 +83,42 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LuRandomSolve,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 // KKT-style symmetric indefinite systems (what the QP solver feeds LU).
+// Gaussian elimination with partial pivoting, one scalar at a time: the
+// bit-level reference for factor_into's unrolled row update.
+Matrix scalar_lu(Matrix a) {
+  const std::size_t n = a.rows();
+  for (std::size_t k = 0; k < n; ++k) {
+    std::size_t p = k;
+    for (std::size_t r = k + 1; r < n; ++r)
+      if (std::abs(a(r, k)) > std::abs(a(p, k))) p = r;
+    for (std::size_t c = 0; c < n; ++c) std::swap(a(k, c), a(p, c));
+    const double inv_pivot = 1.0 / a(k, k);
+    for (std::size_t r = k + 1; r < n; ++r) {
+      const double m = a(r, k) * inv_pivot;
+      a(r, k) = m;
+      if (m == 0.0) continue;  // eucon-lint: allow(float-equality)
+      for (std::size_t c = k + 1; c < n; ++c) a(r, c) -= m * a(k, c);
+    }
+  }
+  return a;
+}
+
+TEST(LuTest, FactorIntoMatchesScalarEliminationBitForBit) {
+  Rng rng(41);
+  for (std::size_t n : {3u, 4u, 7u, 13u, 40u}) {
+    Matrix a = random_matrix(n, rng);
+    a(n - 1, 0) = 0.0;  // a zero multiplier skips its row update
+    const Matrix ref = scalar_lu(a);
+    std::vector<std::size_t> piv(n);
+    ASSERT_TRUE(Lu::factor_into(a, piv));
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a(r, c)),
+                  std::bit_cast<std::uint64_t>(ref(r, c)))
+            << n << "x" << n << " (" << r << "," << c << ")";
+  }
+}
+
 TEST(LuTest, SolvesSaddlePointSystem) {
   // [H A'; A 0] with H = I, A = [1 1].
   Matrix kkt{{1.0, 0.0, 1.0}, {0.0, 1.0, 1.0}, {1.0, 1.0, 0.0}};

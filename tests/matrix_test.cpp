@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+
+#include "common/rng.h"
 
 namespace eucon::linalg {
 namespace {
@@ -87,6 +91,35 @@ TEST(MatrixTest, GramMatchesExplicitProduct) {
   Matrix a{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
   const Matrix expected = a.transposed() * a;
   EXPECT_TRUE(approx_equal(gram(a), expected, 1e-12));
+}
+
+TEST(MatrixTest, MatrixTransposeTimesMatchesExplicitTranspose) {
+  Matrix a{{1.0, 0.0}, {3.0, 4.0}, {0.0, 6.0}};
+  Matrix b{{1.0, -1.0, 2.0}, {0.5, 0.0, 1.0}, {2.0, 3.0, -4.0}};
+  EXPECT_TRUE(approx_equal(transpose_times(a, b), a.transposed() * b, 1e-14));
+  EXPECT_THROW(transpose_times(a, Matrix(2, 2)), std::invalid_argument);
+}
+
+// The row-oriented gram against the column-pair dot products it replaced:
+// the same summation order per entry, so the same bits — zeros, negative
+// entries and all.
+TEST(MatrixTest, GramMatchesColumnOrientedReferenceBitForBit) {
+  Rng rng(3);
+  Matrix a(37, 11);
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    for (std::size_t c = 0; c < a.cols(); ++c)
+      a(r, c) = rng.next_double() < 0.4 ? 0.0 : rng.uniform(-5.0, 5.0);
+  Matrix g;
+  gram_into(a, g);
+  for (std::size_t i = 0; i < a.cols(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      double acc = 0.0;
+      for (std::size_t r = 0; r < a.rows(); ++r) acc += a(r, i) * a(r, j);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(g(i, j)),
+                std::bit_cast<std::uint64_t>(acc))
+          << "G(" << i << "," << j << ")";
+    }
+  }
 }
 
 TEST(MatrixTest, RowColAccessors) {

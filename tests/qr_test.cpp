@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "common/rng.h"
 #include "linalg/lu.h"
 
@@ -72,6 +76,73 @@ TEST(QrTest, QtPreservesNorm) {
   Vector b(9);
   for (std::size_t i = 0; i < 9; ++i) b[i] = rng.uniform(-1.0, 1.0);
   EXPECT_NEAR(qr.qt_times(b).norm2(), b.norm2(), 1e-10);
+}
+
+// The column-at-a-time Householder factorization (every dot product and
+// update runs down a column), kept as the bit-level reference for the
+// row-oriented one: returns R.
+Matrix column_oriented_r(Matrix a) {
+  const std::size_t m = a.rows(), n = a.cols();
+  for (std::size_t k = 0; k < n; ++k) {
+    double norm = 0.0;
+    for (std::size_t i = k; i < m; ++i) norm += a(i, k) * a(i, k);
+    norm = std::sqrt(norm);
+    const double alpha = a(k, k) >= 0 ? -norm : norm;
+    const double vkk = a(k, k) - alpha;
+    a(k, k) = alpha;
+    double vtv = vkk * vkk;
+    for (std::size_t i = k + 1; i < m; ++i) vtv += a(i, k) * a(i, k);
+    const double beta = 2.0 / vtv;
+    for (std::size_t j = k + 1; j < n; ++j) {
+      double dot = vkk * a(k, j);
+      for (std::size_t i = k + 1; i < m; ++i) dot += a(i, k) * a(i, j);
+      const double s = beta * dot;
+      a(k, j) -= s * vkk;
+      for (std::size_t i = k + 1; i < m; ++i) a(i, j) -= s * a(i, k);
+    }
+  }
+  Matrix r(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i; j < n; ++j) r(i, j) = a(i, j);
+  return r;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(QrTest, RowOrientedFactorMatchesColumnOrientedBitForBit) {
+  Rng rng(23);
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{6, 6}, {13, 5}, {40, 17}}) {
+    Matrix a = random_tall(rows, cols, rng);
+    for (std::size_t r = 0; r < rows; ++r)  // MPC-like sparsity
+      if (r % 3 == 1) a(r, r % cols) = 0.0;
+    const Matrix r = Qr(a).r();
+    const Matrix ref = column_oriented_r(a);
+    for (std::size_t i = 0; i < cols; ++i)
+      for (std::size_t j = i; j < cols; ++j)
+        EXPECT_TRUE(same_bits(r(i, j), ref(i, j)))
+            << rows << "x" << cols << " R(" << i << "," << j << ")";
+  }
+}
+
+TEST(QrTest, MatrixSolveMatchesColumnSolvesBitForBit) {
+  Rng rng(29);
+  const Matrix a = random_tall(15, 6, rng);
+  const Matrix b = random_tall(15, 4, rng);
+  const Qr qr(a);
+  const Matrix x = qr.solve_least_squares(b);
+  ASSERT_EQ(x.rows(), 6u);
+  ASSERT_EQ(x.cols(), 4u);
+  for (std::size_t c = 0; c < b.cols(); ++c) {
+    const Vector xc = qr.solve_least_squares(b.col(c));
+    for (std::size_t r = 0; r < xc.size(); ++r)
+      EXPECT_TRUE(same_bits(x(r, c), xc[r])) << "X(" << r << "," << c << ")";
+  }
+  EXPECT_THROW(Qr(Matrix{{1.0, 2.0}, {2.0, 4.0}, {3.0, 6.0}})
+                   .solve_least_squares(Matrix(3, 2)),
+               std::runtime_error);
 }
 
 class QrRandomLs : public ::testing::TestWithParam<std::pair<int, int>> {};
