@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -32,6 +33,8 @@ struct GoldenCase {
   const char* degrade = nullptr;
   int stale_limit = 0;
 };
+
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
 
 // A compressed version of the blackout_demo scenario with every fault
 // source live, so the faulted trace encoding (per-period "faults" blocks,
@@ -142,10 +145,12 @@ TEST_P(TraceGoldenTest, MatchesGoldenFile) {
   expect_same_trace(buf.str(), produced, path);
 }
 
-INSTANTIATE_TEST_SUITE_P(Golden, TraceGoldenTest, ::testing::ValuesIn(kCases),
-                         [](const ::testing::TestParamInfo<GoldenCase>& info) {
-                           return std::string(info.param.name);
-                         });
+// Cases keep gtest's index names (MatchesGoldenFile/0, ...) and print as
+// their golden file stem, which gtest_discover_tests turns into the CTest
+// name Golden/TraceGoldenTest.MatchesGoldenFile/<stem>. Without PrintTo,
+// gtest would print the raw bytes of the struct, pointers included, so the
+// CTest names would change with every build's load address.
+INSTANTIATE_TEST_SUITE_P(Golden, TraceGoldenTest, ::testing::ValuesIn(kCases));
 
 // The golden traces are only trustworthy if rendering is a pure function
 // of the config — pin that property right next to the files.
