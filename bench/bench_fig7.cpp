@@ -2,6 +2,7 @@
 // The controller re-converges to the set points within tens of sampling
 // periods after each execution-time step.
 #include <cstdio>
+#include <string>
 
 #include "bench_util.h"
 #include "eucon/eucon.h"
@@ -29,12 +30,16 @@ int main() {
 
   std::printf("\n");
   for (std::size_t p = 0; p < 4; ++p) {
+    // Appended, not "P" + std::to_string(...): GCC 12 at -O3 raises a
+    // -Wrestrict false positive on that operator+.
+    std::string proc = "P";
+    proc += std::to_string(p + 1);
     checks.expect(metrics::acceptability(res, p, 60, 100).acceptable(),
-                  "P" + std::to_string(p + 1) + " settled before the first step");
+                  proc + " settled before the first step");
     checks.expect(metrics::acceptability(res, p, 160, 200).acceptable(),
-                  "P" + std::to_string(p + 1) + " re-converged after the +80% step");
+                  proc + " re-converged after the +80% step");
     checks.expect(metrics::acceptability(res, p, 260, 300).acceptable(),
-                  "P" + std::to_string(p + 1) + " re-converged after the -67% step");
+                  proc + " re-converged after the -67% step");
   }
   const int settle_up = metrics::settling_time(res, 0, 100, 0.07, 10);
   checks.expect(settle_up >= 0 && settle_up <= 30,

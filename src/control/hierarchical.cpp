@@ -99,8 +99,8 @@ HierarchicalMpcController::build_partition(std::size_t offset,
     shard.r_scratch = Vector(shard.owned.size());
     // Every local MPC solves through the one shared workspace, reserved
     // growth-only as locals are built: capacity ends at the largest
-    // shard's constraint template across both partitions, independent of
-    // the shard count.
+    // shard's problem across both partitions, independent of the shard
+    // count.
     shard.local = std::make_unique<MpcController>(
         std::move(local), params, std::move(local_rates), &shared_ws_);
   }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "linalg/cholesky.h"
 #include "linalg/qr.h"
 
 namespace eucon::control {
@@ -30,17 +31,6 @@ Vector weights_or_ones(const Vector& w, std::size_t size) {
   return w.empty() ? Vector(size, 1.0) : w;
 }
 
-// S_i: the m×(mM) selector summing the first min(i, M) input blocks, i.e.
-// r(k+i|k) - r(k-1) = S_i x for steps within the horizon.
-Matrix selector(std::size_t m, int control_horizon, int i) {
-  const int blocks = std::min(i, control_horizon);
-  Matrix s(m, m * static_cast<std::size_t>(control_horizon));
-  for (int blk = 0; blk < blocks; ++blk)
-    for (std::size_t r = 0; r < m; ++r)
-      s(r, static_cast<std::size_t>(blk) * m + r) = 1.0;
-  return s;
-}
-
 }  // namespace
 
 MpcMatrices build_mpc_matrices(const PlantModel& model, const MpcParams& params) {
@@ -64,15 +54,17 @@ MpcMatrices build_mpc_matrices(const PlantModel& model, const MpcParams& params)
   mats.dr = Matrix(rows, m);
 
   // Tracking blocks: sqrt(Q) (F S_i x - (ref_i - u(k))) for i = 1..P, with
-  // ref_i - u(k) = (1 - e^{-i/(Tref/Ts)}) (B - u(k))   (eq. 8).
+  // ref_i - u(k) = (1 - e^{-i/(Tref/Ts)}) (B - u(k))   (eq. 8). S_i x =
+  // r(k+i|k) - r(k-1) sums the first min(i, M) input blocks, so F S_i is F
+  // repeated over those blocks.
   std::size_t row0 = 0;
   for (int i = 1; i <= p; ++i, row0 += n) {
-    const Matrix fsi = model.f * selector(m, mh, i);
+    const auto sum_cols = m * static_cast<std::size_t>(std::min(i, mh));
     const double shape = 1.0 - std::exp(-static_cast<double>(i) / params.tref_over_ts);
     for (std::size_t rr = 0; rr < n; ++rr) {
       const double sq = std::sqrt(q[rr]);
-      for (std::size_t cc = 0; cc < cols; ++cc)
-        mats.c(row0 + rr, cc) = sq * fsi(rr, cc);
+      for (std::size_t cc = 0; cc < sum_cols; ++cc)
+        mats.c(row0 + rr, cc) = sq * model.f(rr, cc % m);
       mats.du(row0 + rr, rr) = sq * shape;
     }
   }
@@ -120,7 +112,6 @@ MpcController::MpcController(PlantModel model, MpcParams params,
     : model_(std::move(model)),
       active_model_(model_),
       params_(std::move(params)),
-      gains_(build_mpc_gains(active_model_, params_)),
       enabled_(model_.num_tasks(), true),
       tracked_(model_.num_processors(), true),
       tracked_count_(model_.num_processors()),
@@ -131,7 +122,7 @@ MpcController::MpcController(PlantModel model, MpcParams params,
   EUCON_REQUIRE(rates_.size() == model_.num_tasks(),
                 "initial rate vector size mismatch");
   rates_ = rates_.clamped(model_.rate_min, model_.rate_max);
-  rebuild_constraint_templates();
+  rebuild_active_model();
 }
 
 void MpcController::set_set_points(const Vector& b) {
@@ -153,70 +144,83 @@ void MpcController::rebuild_active_model() {
       active_model_.f(i, j) = tracked_[i] && enabled_[j]
                                   ? gain_estimate_[i] * model_.f(i, j)
                                   : 0.0;
-  gains_ = build_mpc_gains(active_model_, params_);
+  MpcGains gains = build_mpc_gains(active_model_, params_);
+  k_ = std::move(gains.k);
+  g_ = std::move(gains.g);
+  // The QP's Hessian in z: T⁻¹ maps z to x (x_i = z_i - z_{i-1}), so
+  // (H + εI) T⁻¹ replaces column block i by block i minus block i+1, and
+  // T⁻ᵀ does the same to row blocks. Ascending order reads each block i+1
+  // before it changes.
+  l_ = std::move(gains.h);
+  const std::size_t m = active_model_.num_tasks();
+  const std::size_t cols = l_.rows();
+  for (std::size_t c = 0; c < cols; ++c)
+    l_(c, c) += params_.solver.regularization;
+  for (std::size_t r = 0; r < cols; ++r)
+    for (std::size_t c = 0; c + m < cols; ++c) l_(r, c) -= l_(r, c + m);
+  for (std::size_t r = 0; r + m < cols; ++r)
+    for (std::size_t c = 0; c < cols; ++c) l_(r, c) -= l_(r + m, c);
+  EUCON_ASSERT(linalg::Cholesky::factor_into(l_),
+               "MPC Hessian is not positive definite");
   rebuild_constraint_templates();
 }
 
 void MpcController::rebuild_constraint_templates() {
   const std::size_t n = active_model_.num_processors();
   const std::size_t m = active_model_.num_tasks();
-  const int mh = params_.control_horizon;
-  const std::size_t cols = m * static_cast<std::size_t>(mh);
+  const auto mh = static_cast<std::size_t>(params_.control_horizon);
+  const std::size_t cols = m * mh;
 
   // Distinct utilization constraints exist only for i = 1..M: beyond the
-  // control horizon the predicted utilization is constant (S_i = S_M).
-  // Untracked processors get no utilization rows at all (row-skipping): a
-  // zeroed-F row with a stale u > B on the right-hand side would make the
-  // instance unconditionally infeasible.
-  const std::size_t util_rows = tracked_count_ * static_cast<std::size_t>(mh);
-  const std::size_t rate_rows = 2 * m * static_cast<std::size_t>(mh);
-
-  a_full_ = Matrix(util_rows + rate_rows, cols);
-  a_rates_ = Matrix(rate_rows, cols);
-  v_ = Vector(gains_.k.cols());
+  // control horizon the predicted utilization is constant. In z the
+  // prediction u(k+i|k) = u(k) + F z_{i-1} reads one block, so row (i, p)
+  // is F_p on block i-1. Untracked processors get no utilization rows at
+  // all (row-skipping): a zeroed-F row with a stale u > B on the right-hand
+  // side would make the instance unconditionally infeasible. Soft mode
+  // never uses the rows, so it builds none.
+  const std::size_t util_rows =
+      params_.constraint_mode == ConstraintMode::kHardWithFallback
+          ? tracked_count_ * mh
+          : 0;
+  a_util_ = Matrix(util_rows, cols);
+  b_util_ = Vector(util_rows);
+  v_ = Vector(k_.cols());
   f_ = Vector(cols);
+  lb_ = Vector(cols);
+  ub_ = Vector(cols);
   qp_res_.x = Vector(cols);
   x_zero_ = Vector(cols, 0.0);
-  x_drop_ = Vector(cols, 0.0);
 
-  std::size_t row0 = 0;
-  for (int i = 1; i <= mh; ++i) {
-    const Matrix fsi = active_model_.f * selector(m, mh, i);
-    for (std::size_t rr = 0; rr < n; ++rr) {
-      if (!tracked_[rr]) continue;
-      for (std::size_t cc = 0; cc < cols; ++cc) a_full_(row0, cc) = fsi(rr, cc);
-      ++row0;
+  std::size_t row = 0;
+  for (std::size_t i = 0; i < mh && util_rows > 0; ++i) {
+    for (std::size_t p = 0; p < n; ++p) {
+      if (!tracked_[p]) continue;
+      const double* fp = active_model_.f.row_ptr(p);
+      std::copy(fp, fp + m, a_util_.row_ptr(row) + i * m);
+      ++row;
     }
   }
-  for (int i = 1; i <= mh; ++i, row0 += 2 * m) {
-    const Matrix si = selector(m, mh, i);
-    // r(k+i-1|k) <= R_max  and  -r(k+i-1|k) <= -R_min.
-    a_full_.set_block(row0, 0, si);
-    a_full_.set_block(row0 + m, 0, -1.0 * si);
-    a_rates_.set_block(row0 - util_rows, 0, si);
-    a_rates_.set_block(row0 - util_rows + m, 0, -1.0 * si);
-  }
-  EUCON_ASSERT(row0 == util_rows + rate_rows,
-               "MPC constraint template row mismatch");
+  EUCON_ASSERT(row == util_rows, "MPC constraint template row mismatch");
 
-  // Size the QP workspace for the larger template here, off the hot path:
-  // update() then solves either instance without allocating.
-  active_workspace().reserve(cols, util_rows + rate_rows);
+  // Size the QP workspace here, off the hot path: update() then solves
+  // either layout without allocating.
+  active_workspace().reserve(cols, util_rows);
 
   // A model change invalidates the carried working sets. Reserving each to
-  // its template's row count here keeps the post-solve working-set copy in
-  // update() heap-free even the first time a new high-water count appears.
+  // the largest working set (cols + 1 rows) here keeps the post-solve
+  // working-set copy in update() heap-free even the first time a new
+  // high-water count appears.
   warm_full_.working.clear();
-  warm_full_.working.reserve(util_rows + rate_rows);
+  warm_full_.working.reserve(cols + 1);
   warm_rates_.working.clear();
-  warm_rates_.working.reserve(rate_rows);
+  warm_rates_.working.reserve(cols + 1);
 }
 
 void MpcController::set_shared_workspace(qp::QpWorkspace* ws) {
   shared_ws_ = ws;
-  // Growth-only: reserving for this controller's larger template leaves any
+  // Growth-only: reserving for this controller's problem leaves any
   // capacity a bigger sibling already established untouched.
-  active_workspace().reserve(a_full_.cols(), a_full_.rows());
+  active_workspace().reserve(l_.rows(), a_util_.rows());
 }
 
 void MpcController::set_enabled_tasks(const std::vector<bool>& enabled) {
@@ -276,63 +280,69 @@ void MpcController::set_gain_estimate(const linalg::Vector& gains) {
   rebuild_active_model();
 }
 
-void MpcController::fill_constraint_rhs(const Vector& u, bool with_util_rows,
-                                        Vector& b) const {
-  const std::size_t n = active_model_.num_processors();
-  const std::size_t m = active_model_.num_tasks();
-  const int mh = params_.control_horizon;
-
-  const std::size_t util_rows =
-      with_util_rows ? tracked_count_ * static_cast<std::size_t>(mh) : 0;
-  const std::size_t rate_rows = 2 * m * static_cast<std::size_t>(mh);
-  // Steady-state no-op past the first period per template: the scratch only
-  // regrows when the fallback toggles the utilization rows on or off.
-  b.data().resize(util_rows + rate_rows);  // eucon-lint: allow(allocation-in-realtime)
-
-  std::size_t row0 = 0;
-  if (with_util_rows) {
-    // Mirrors the row-skipping layout of rebuild_constraint_templates.
-    for (int i = 1; i <= mh; ++i)
-      for (std::size_t rr = 0; rr < n; ++rr)
-        if (tracked_[rr]) b[row0++] = active_model_.b[rr] - u[rr];
-  }
-  for (int i = 1; i <= mh; ++i, row0 += 2 * m) {
-    for (std::size_t rr = 0; rr < m; ++rr) {
-      b[row0 + rr] = active_model_.rate_max[rr] - rates_[rr];
-      b[row0 + m + rr] = rates_[rr] - active_model_.rate_min[rr];
-    }
-  }
-}
-
 bool MpcController::unconstrained_feasible(const Vector& x,
                                            bool with_util_rows) const {
   const double tol = params_.solver.constraint_tol;
-  const Matrix& a = with_util_rows ? a_full_ : a_rates_;
-  // A non-finite x makes the dense rows' 0·x terms NaN, which
-  // max_violation skips; only the dense template reproduces that exactly.
-  for (std::size_t c = 0; c < x.size(); ++c)
-    if (!std::isfinite(x[c])) return qp::max_violation(a, b_scratch_, x) <= tol;
   if (!(tol >= 0.0)) return false;  // max_violation never reads below 0
-
-  // A violation v > tol fails; a NaN v (from a NaN right-hand side) is
-  // skipped, as max_violation's std::max skips it.
   const std::size_t m = active_model_.num_tasks();
-  const std::size_t util_rows = a.rows() - a_rates_.rows();
-  for (std::size_t row = 0; row < util_rows; ++row)
-    if (linalg::row_dot(a, row, x) - b_scratch_[row] > tol) return false;
-  // Rate-box block i (i = 1..M) bounds r(k+i-1|k) - r(k-1) = Σ_{blk<i} x_blk:
-  // m upper rows (+S_i) then m lower rows (-S_i). Finite x: the dense
-  // row's zero terms add nothing, so the running sum is its row_dot.
+  const auto mh = static_cast<std::size_t>(params_.control_horizon);
+
+  // A dense row's zero coefficient times a non-finite entry of x makes the
+  // row NaN, which max_violation skips. Count those entries and where the
+  // last one sits; a violation v > tol fails, a NaN v (also from a NaN
+  // right-hand side) is skipped.
+  std::size_t bad = 0, bad_end = 0;
+  for (std::size_t c = 0; c < x.size(); ++c) {
+    if (std::isfinite(x[c])) continue;
+    ++bad;
+    bad_end = c + 1;
+  }
+
+  if (with_util_rows) {
+    // Row (i, p) is F_p on blocks 0..i-1 and zero after them; summing
+    // block by block reproduces the dense row's dot to the bit.
+    for (std::size_t p = 0; p < active_model_.num_processors(); ++p) {
+      if (!tracked_[p]) continue;
+      const double* fp = active_model_.f.row_ptr(p);
+      double acc = 0.0;
+      for (std::size_t blk = 0; blk < mh; ++blk) {
+        const double* xb = x.data().data() + blk * m;
+        for (std::size_t j = 0; j < m; ++j) acc += fp[j] * xb[j];
+        if (bad_end > (blk + 1) * m) continue;  // NaN row
+        if (acc - v_[p] > tol) return false;
+      }
+    }
+  }
+  // Rate-box block i bounds r(k+i|k) - r(k-1) = x_0 + … + x_i: an upper row
+  // (+1 on task j of blocks 0..i) and a lower row (-1 on them), against this
+  // period's box in ub_ / lb_.
   for (std::size_t j = 0; j < m; ++j) {
     double cum = 0.0;
-    std::size_t row = util_rows;
-    for (int i = 0; i < params_.control_horizon; ++i, row += 2 * m) {
-      cum += x[static_cast<std::size_t>(i) * m + j];
-      if (cum - b_scratch_[row + j] > tol) return false;
-      if (-cum - b_scratch_[row + m + j] > tol) return false;
+    std::size_t bad_in_row = 0;
+    for (std::size_t c = j; c < x.size(); c += m) {
+      cum += x[c];
+      if (!std::isfinite(x[c])) ++bad_in_row;
+      if (bad_in_row < bad) continue;  // NaN row
+      if (cum - ub_[c] > tol || lb_[c] - cum > tol) return false;
     }
   }
   return true;
+}
+
+std::vector<std::size_t> MpcController::last_working_set() const {
+  // The solver numbers the z bounds all-upper then all-lower after the
+  // utilization rows; the dense layout interleaves them per block.
+  const qp::WarmStart& warm = last_used_util_rows_ ? warm_full_ : warm_rates_;
+  const std::size_t util = last_used_util_rows_ ? a_util_.rows() : 0;
+  const std::size_t m = active_model_.num_tasks();
+  std::vector<std::size_t> rows(warm.working);
+  for (std::size_t& k : rows) {
+    if (k < util) continue;
+    const std::size_t lower = (k - util) / l_.rows();
+    const std::size_t c = (k - util) % l_.rows();
+    k = util + (c / m) * 2 * m + lower * m + c % m;
+  }
+  return rows;
 }
 
 const Vector& MpcController::update(const Vector& u) {
@@ -352,31 +362,35 @@ const Vector& MpcController::update(const Vector& u) {
   for (std::size_t i = 0; i < n; ++i) v_[i] = active_model_.b[i] - u[i];
   for (std::size_t j = n; j < v_.size(); ++j) v_[j] = dr_prev_[j - n];
 
-  // Feasible starting points (F >= 0 elementwise, so pushing every rate to
-  // R_min minimizes every predicted utilization):
-  //   x = 0                      feasible when u(k) <= B already;
-  //   x = [R_min - r(k-1); 0; …] feasible whenever the problem is feasible.
-  // x_zero_ stays all-zero; only x_drop_'s head changes period to period
-  // (its tail past m was zeroed when the templates were rebuilt).
+  // The rate box in z: R_min - r(k-1) <= z_i <= R_max - r(k-1) for every
+  // block i. Feasible starting points (F >= 0 elementwise, so pushing every
+  // rate to R_min minimizes every predicted utilization):
+  //   z = 0     feasible when u(k) <= B already;
+  //   z = lb    feasible whenever the problem is feasible.
   const double tol = 1e-9;
-  for (std::size_t j = 0; j < m; ++j) x_drop_[j] = active_model_.rate_min[j] - rates_[j];
+  for (std::size_t c = 0; c < lb_.size(); ++c) {
+    lb_[c] = active_model_.rate_min[c % m] - rates_[c % m];
+    ub_[c] = active_model_.rate_max[c % m] - rates_[c % m];
+  }
 
   bool util_rows = want_util_rows;
-  const Vector* x0 = nullptr;
+  const Vector* x0 = &x_zero_;
   if (util_rows) {
     bool zero_ok = true, drop_ok = true;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0, row = 0; i < n; ++i) {
       if (!tracked_[i]) continue;  // no util rows for untracked processors
+      // Right-hand side B - u of the utilization rows, in the block-major
+      // layout of rebuild_constraint_templates.
+      for (std::size_t r = row++; r < b_util_.size(); r += tracked_count_)
+        b_util_[r] = v_[i];
       if (u[i] > active_model_.b[i] + tol) zero_ok = false;
       double u_drop = u[i];
-      for (std::size_t j = 0; j < m; ++j) u_drop += active_model_.f(i, j) * x_drop_[j];
+      for (std::size_t j = 0; j < m; ++j) u_drop += active_model_.f(i, j) * lb_[j];
       if (u_drop > active_model_.b[i] + tol) drop_ok = false;
     }
-    if (zero_ok) {
-      x0 = &x_zero_;
-    } else if (drop_ok) {
-      x0 = &x_drop_;
-    } else {
+    if (!zero_ok && drop_ok) {
+      x0 = &lb_;
+    } else if (!zero_ok) {
       // No rate vector can satisfy u <= B (paper §6.2: infeasible instance;
       // rate adaptation alone cannot reach the set points). Best effort:
       // drop the utilization rows and let the tracking term minimize the
@@ -385,16 +399,13 @@ const Vector& MpcController::update(const Vector& u) {
       ++fallback_count_;
     }
   }
-  if (!util_rows) x0 = &x_zero_;
 
-  fill_constraint_rhs(u, util_rows, b_scratch_);
-  const Matrix& a = util_rows ? a_full_ : a_rates_;
   qp::WarmStart& warm = util_rows ? warm_full_ : warm_rates_;
   {
     OBS_TIMED(metrics_, "qp.solve");
     // Fast path: the unconstrained minimizer x* = K v. Feasible ⇒ optimal
     // (the constrained optimum can never beat the unconstrained one).
-    linalg::multiply_into(gains_.k, v_, qp_res_.x);
+    linalg::multiply_into(k_, v_, qp_res_.x);
     last_fast_path_ = unconstrained_feasible(qp_res_.x, util_rows);
     if (last_fast_path_) {
       qp_res_.status = qp::Status::kOptimal;
@@ -403,11 +414,14 @@ const Vector& MpcController::update(const Vector& u) {
       // next solve rather than a stale set.
       warm.working.clear();
     } else {
-      // Miss: the active-set QP on 0.5 x'Hx + f'x with f = -2 G v.
-      linalg::multiply_into(gains_.g, v_, f_);
+      // Miss: the active-set QP on 0.5 z'H_z z + f_z'z, f_z = T⁻ᵀ(-2 G v),
+      // with the rate box as bounds on z.
+      linalg::multiply_into(g_, v_, f_);
       f_ *= -2.0;
-      qp::solve_qp_into(gains_.h, f_, a, b_scratch_, x0, params_.solver,
-                        &warm, active_workspace(), qp_res_);
+      for (std::size_t c = 0; c + m < f_.size(); ++c) f_[c] -= f_[c + m];
+      qp::solve_qp_into(l_, f_, util_rows ? a_util_ : no_rows_,
+                        util_rows ? b_util_ : no_rhs_, lb_, ub_, x0,
+                        params_.solver, &warm, active_workspace(), qp_res_);
     }
   }
   last_status_ = qp_res_.status;

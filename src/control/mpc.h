@@ -14,7 +14,9 @@
 // The optimization is a constrained least-squares problem (the paper used
 // MATLAB's lsqlin). Its unconstrained optimum is linear in the measured
 // error, so the controller keeps the explicit gains (MpcGains) and runs the
-// in-repo active-set QP only when that optimum violates a constraint.
+// in-repo active-set QP only when that optimum violates a constraint. The
+// QP runs over the cumulative moves r(k+i|k) - r(k-1), where the rate
+// limits are plain variable bounds, on a Hessian factored once per model.
 #pragma once
 
 #include <cstdint>
@@ -160,13 +162,14 @@ class MpcController final : public Controller {
   // Per-period solver observability (the trace layer reads these right
   // after update()): active-set iterations of the last solve, whether the
   // explicit-gain fast path short-circuited it, whether the utilization rows
-  // were dropped (infeasible instance), and the final working set.
+  // were dropped (infeasible instance), and the final working set. The
+  // working set is numbered as the dense row layout reads: utilization rows
+  // (block-major, tracked processors only), then per horizon block m upper
+  // and m lower rate-box rows.
   int last_iterations() const { return last_iterations_; }
   bool last_fast_path() const { return last_fast_path_; }
   bool last_used_fallback() const { return last_used_fallback_; }
-  const std::vector<std::size_t>& last_working_set() const {
-    return last_used_util_rows_ ? warm_full_.working : warm_rates_.working;
-  }
+  std::vector<std::size_t> last_working_set() const;
   std::uint64_t qp_iterations_total() const { return qp_iterations_total_; }
   std::uint64_t fast_path_hits() const { return fast_path_hits_; }
 
@@ -178,35 +181,39 @@ class MpcController final : public Controller {
   // Routes the active-set QP through a caller-owned workspace instead of
   // the controller's private one (null restores the private workspace).
   // The hierarchical controller shares one workspace — sized here to this
-  // controller's larger constraint template, growth-only — across every
-  // local MPC in a shard, so scratch memory scales with the largest local
-  // problem instead of with controller count. The workspace must outlive
+  // controller's problem, growth-only — across every local MPC in a shard,
+  // so scratch memory scales with the largest local problem instead of
+  // with controller count. The workspace must outlive
   // the controller or the next set call; sharing one workspace across
   // controllers updated concurrently is a data race.
   void set_shared_workspace(qp::QpWorkspace* ws);
 
  private:
-  // Rebuilds the constraint-matrix templates (they depend only on the
-  // active model, not on u or the current rates): `a_full_` carries the
-  // u(k+i|k) <= B rows followed by the rate-bound rows; `a_rates_` the
-  // rate-bound rows alone (the infeasible-instance fallback).
+  // Recomputes active_model_.f = diag(gain) * (mask-filtered F), the
+  // explicit gains, the Hessian factor l_ and the constraint template.
+  void rebuild_active_model();
+  // Rebuilds the utilization-row template and sizes the per-period scratch
+  // (both depend only on the active model, not on u or the current rates).
   void rebuild_constraint_templates();
-  // Fills the per-period right-hand side for the chosen template in place.
-  void fill_constraint_rhs(const linalg::Vector& u, bool with_util_rows,
-                           linalg::Vector& b) const;
-  // The fast-path acceptance rule: true iff
-  // qp::max_violation(template, b_scratch_, x) <= constraint_tol, where the
-  // rate-box rows are read as cumulative sums of x instead of dense rows.
+  // The fast-path acceptance rule: true iff qp::max_violation over the
+  // dense rows of the problem in Δr (utilization rows in hard mode, then the
+  // rate box as cumulative sums of x) is <= constraint_tol, NaN rows skipped
+  // — evaluated from F and the box in O(rows · mM) without the dense rows.
   bool unconstrained_feasible(const linalg::Vector& x,
                               bool with_util_rows) const;
-  // Recomputes active_model_.f = diag(gain) * (mask-filtered F), the
-  // explicit gains and the constraint templates.
-  void rebuild_active_model();
 
   PlantModel model_;       // as configured
   PlantModel active_model_;  // with suspended tasks' columns zeroed
   MpcParams params_;
-  MpcGains gains_;  // K, G, H of active_model_
+  // The explicit gains of active_model_ (MpcGains): x* = K v, f = -2 G v.
+  linalg::Matrix k_;
+  linalg::Matrix g_;
+  // The QP runs over the cumulative moves z_i = r(k+i|k) - r(k-1) =
+  // x_0 + … + x_i, i.e. z = T x, where the rate box is a plain variable
+  // bound. l_ is the lower Cholesky factor of T⁻ᵀ (H + εI) T⁻¹, the same
+  // regularized problem as in x; the linear term is T⁻ᵀ f. With M = 1,
+  // T = I.
+  linalg::Matrix l_;
   std::vector<bool> enabled_;
   std::vector<bool> tracked_;      // per-processor; false = stale, ignored
   std::size_t tracked_count_ = 0;  // number of true flags in tracked_
@@ -225,19 +232,21 @@ class MpcController final : public Controller {
   obs::Registry* metrics_ = nullptr;  // non-owning; null = no metrics
 
   // Per-period scratch (sized in rebuild_constraint_templates) and the
-  // receding-horizon warm starts, one per constraint template so working-set
-  // indices never cross row layouts.
-  linalg::Matrix a_full_;    // util rows + rate rows
-  linalg::Matrix a_rates_;   // rate rows only
-  linalg::Vector b_scratch_;
+  // receding-horizon warm starts, one per constraint layout (with and
+  // without the utilization rows) so working-set indices never cross them.
+  linalg::Matrix a_util_;    // u + F z_{i-1} <= B rows; hard mode only
+  linalg::Vector b_util_;
   linalg::Vector v_;         // gain input [B - u(k); Δr(k-1)]
-  linalg::Vector f_;         // QP linear term -2 G v (miss path only)
-  linalg::Vector x_zero_;    // all-zero warm start for the fallback retry
-  linalg::Vector x_drop_;    // Δr = -r(k-1) "drop everything" feasibility probe
+  linalg::Vector f_;         // QP linear term in z (miss path only)
+  linalg::Vector lb_;        // rate box in z: R_min - r(k-1) per block,
+  linalg::Vector ub_;        // R_max - r(k-1); lb_ is also the drop start
+  linalg::Vector x_zero_;    // all-zero start for the fallback retry
   qp::Result qp_res_;        // per-period solution (x reused as scratch)
   qp::WarmStart warm_full_;
   qp::WarmStart warm_rates_;
-  // Active-set QP scratch, reserved for the larger constraint template so a
+  const linalg::Matrix no_rows_;  // the QP's A without utilization rows
+  const linalg::Vector no_rhs_;
+  // Active-set QP scratch, reserved for the utilization-row layout so a
   // period's solve — fast path miss included — never touches the heap.
   // `shared_ws_` (when set) substitutes a caller-owned workspace for the
   // private one on every solve.

@@ -1,5 +1,5 @@
 // LU factorization with partial pivoting, for square systems (including the
-// symmetric-indefinite KKT systems of the QP solver).
+// working-set Schur systems of the QP solver).
 #pragma once
 
 #include <cstddef>
@@ -26,7 +26,7 @@ class Lu {
 
   Matrix inverse() const;
 
-  // In-place variants for preallocated hot paths (the QP KKT solves).
+  // In-place variants for preallocated hot paths (the QP's Schur solves).
   //
   // factor_into overwrites `a` with the packed L (unit diagonal) / U factors
   // and records the row permutation in the first a.rows() entries of `piv`

@@ -1,5 +1,7 @@
 #include "qp/lsqlin.h"
 
+#include <limits>
+
 #include "common/check.h"
 
 namespace eucon::qp {
@@ -17,38 +19,13 @@ LsqlinResult lsqlin(const LsqlinProblem& prob, const Vector* x0,
   EUCON_CHECK_FINITE_VEC("lsqlin input d", prob.d);
 
   // 0.5 x'Hx + f'x with H = 2 C'C, f = -2 C'd reproduces ||Cx-d||^2 up to
-  // the constant d'd.
+  // the constant d'd. The box goes to the solver as native bounds.
   Matrix h = linalg::gram(prob.c);
   h *= 2.0;
   Vector f = linalg::transpose_times(prob.c, prob.d);
   f *= -2.0;
-
-  // Fold the box constraints into the inequality system.
-  std::size_t extra = 0;
-  if (!prob.lb.empty()) extra += n;
-  if (!prob.ub.empty()) extra += n;
-  Matrix a(prob.a.rows() + extra, n);
-  Vector b(prob.a.rows() + extra);
-  if (prob.a.rows() > 0) {
-    EUCON_REQUIRE(prob.a.cols() == n, "lsqlin: A column mismatch");
-    a.set_block(0, 0, prob.a);
-    for (std::size_t i = 0; i < prob.a.rows(); ++i) b[i] = prob.b[i];
-  }
-  std::size_t row = prob.a.rows();
-  if (!prob.ub.empty()) {
-    for (std::size_t j = 0; j < n; ++j, ++row) {
-      a(row, j) = 1.0;
-      b[row] = prob.ub[j];
-    }
-  }
-  if (!prob.lb.empty()) {
-    for (std::size_t j = 0; j < n; ++j, ++row) {
-      a(row, j) = -1.0;
-      b[row] = -prob.lb[j];
-    }
-  }
-
-  const Result qp_res = solve_qp(h, f, a, b, x0, opts);
+  const Result qp_res =
+      solve_qp(h, f, prob.a, prob.b, prob.lb, prob.ub, x0, opts);
   LsqlinResult out;
   out.x = qp_res.x;
   out.status = qp_res.status;
@@ -71,6 +48,7 @@ void LsqlinSolver::reset(linalg::Matrix c) {
   qr_ = linalg::Qr(c_);
   linalg::gram_into(c_, h_);
   h_ *= 2.0;
+  l_eps_ = std::numeric_limits<double>::quiet_NaN();  // refactor on next miss
 }
 
 LsqlinResult LsqlinSolver::solve(const Vector& d, const Matrix& a,
@@ -112,9 +90,15 @@ void LsqlinSolver::solve_into(const Vector& d, const Matrix& a,
     }
   }
 
+  if (opts.regularization != l_eps_) {
+    EUCON_REQUIRE(factor_hessian(h_, opts.regularization, l_),
+                  "LsqlinSolver: regularized 2 C'C is not positive definite");
+    l_eps_ = opts.regularization;
+  }
   linalg::transpose_times_into(c_, d, f_);
   f_ *= -2.0;
-  solve_qp_into(h_, f_, a, b, x0, opts, warm, ws, qp_scratch_);
+  solve_qp_into(l_, f_, a, b, no_bounds_, no_bounds_, x0, opts, warm, ws,
+                qp_scratch_);
   out.x = qp_scratch_.x;
   out.status = qp_scratch_.status;
   out.iterations = qp_scratch_.iterations;

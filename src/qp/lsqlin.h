@@ -2,10 +2,12 @@
 //
 //   min_x ||C x - d||_2^2   subject to   A x <= b,  lb <= x <= ub.
 //
-// This is the solver the EUCON controller calls every sampling period (the
-// paper uses MATLAB's lsqlin; this is our from-scratch replacement built on
-// the active-set QP).
+// The paper's controller calls MATLAB's lsqlin every sampling period; this
+// is the from-scratch replacement, built on the active-set QP (the MPC now
+// calls that QP directly with its explicit gains).
 #pragma once
+
+#include <limits>
 
 #include "common/annotations.h"
 #include "linalg/qr.h"
@@ -38,19 +40,19 @@ LsqlinResult lsqlin(const LsqlinProblem& prob,
                     const linalg::Vector* x0 = nullptr,
                     const Options& opts = {});
 
-// Repeated-solve variant for the controller hot path: min ||C x - d||_2^2
-// s.t. A x <= b, where C is fixed across many solves but d/A/b change every
-// sampling period. The constructor factorizes C once — Householder QR for
-// the unconstrained fast path, plus the QP Hessian H = 2 C'C — instead of
-// lsqlin()'s per-call Gram product and matrix copy. Box constraints are not
-// folded here; callers encode them as rows of A (the MPC constraint builder
-// already does).
+// Repeated-solve variant: min ||C x - d||_2^2 s.t. A x <= b, where C is
+// fixed across many solves but d/A/b change every call. The constructor
+// factorizes C once — Householder QR for the unconstrained fast path, plus
+// the QP Hessian H = 2 C'C, whose Cholesky factor (of H + εI) is taken on
+// the first QP solve and again only when a solve asks for a different ε
+// (Options::regularization) — instead of lsqlin()'s per-call Gram product
+// and factorization.
 //
 // Per solve:
 //   1. If the cached-QR unconstrained minimizer satisfies A x <= b it is
 //      returned directly (0 active-set iterations) — the common steady-state
 //      case for the MPC once utilization has converged.
-//   2. Otherwise the active-set QP runs with the cached Hessian; `warm`
+//   2. Otherwise the active-set QP runs on the cached factor; `warm`
 //      (optional) carries the working set between consecutive solves.
 class LsqlinSolver {
  public:
@@ -81,9 +83,12 @@ class LsqlinSolver {
   linalg::Matrix c_;
   linalg::Qr qr_;      // cached factorization of C
   linalg::Matrix h_;   // cached 2 C'C (the QP Hessian)
+  linalg::Matrix l_;   // its factor, regularized by l_eps_ (NaN: stale)
+  double l_eps_ = std::numeric_limits<double>::quiet_NaN();
   linalg::Vector f_;   // scratch: -2 C'd
   linalg::Vector resid_;  // scratch: C x - d
   linalg::Vector y_;      // scratch: Q^T d for the fast path
+  const linalg::Vector no_bounds_;  // solve_into takes no box
   Result qp_scratch_;  // persistent QP result, x reused across solves
   QpWorkspace ws_;     // workspace for the solve() convenience overload
 };

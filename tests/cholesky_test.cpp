@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "common/rng.h"
 
 namespace eucon::linalg {
@@ -55,6 +59,90 @@ TEST_P(CholeskyRandom, SolveRecoversPlantedSolution) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyRandom,
                          ::testing::Values(1, 2, 4, 8, 16, 32));
+
+// Column-by-column Cholesky, one scalar at a time: the bit-level reference
+// for factor_into's row-by-row, in-place sweep.
+Matrix column_cholesky(const Matrix& a) {
+  const std::size_t n = a.rows();
+  Matrix l(n, n);
+  for (std::size_t j = 0; j < n; ++j) {
+    double d = a(j, j);
+    for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
+    l(j, j) = std::sqrt(d);
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double s = a(i, j);
+      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+      l(i, j) = s / l(j, j);
+    }
+  }
+  return l;
+}
+
+TEST(CholeskyTest, FactorIntoMatchesColumnEliminationBitForBit) {
+  Rng rng(43);
+  for (std::size_t n : {1u, 3u, 4u, 7u, 13u, 40u}) {
+    const Matrix a = random_spd(n, rng);
+    const Matrix ref = column_cholesky(a);
+    Matrix l = a;
+    ASSERT_TRUE(Cholesky::factor_into(l));
+    const Matrix from_ctor = Cholesky(a).l();
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(l(r, c)),
+                  std::bit_cast<std::uint64_t>(ref(r, c)))
+            << n << "x" << n << " (" << r << "," << c << ")";
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(from_ctor(r, c)),
+                  std::bit_cast<std::uint64_t>(ref(r, c)))
+            << n << "x" << n << " (" << r << "," << c << ")";
+      }
+    }
+  }
+}
+
+TEST(CholeskyTest, FactorIntoRejectsIndefiniteInPlace) {
+  Matrix a{{1.0, 2.0}, {2.0, 1.0}};
+  EXPECT_FALSE(Cholesky::factor_into(a));
+}
+
+TEST(CholeskyTest, TriangularKernelsMatchDenseProducts) {
+  Rng rng(44);
+  const std::size_t n = 9;
+  const Matrix a = random_spd(n, rng);
+  Matrix l = a;
+  ASSERT_TRUE(Cholesky::factor_into(l));
+  Vector x(n);
+  for (std::size_t i = 0; i < n; ++i) x[i] = rng.uniform(-2.0, 2.0);
+
+  // L' x.
+  Vector lt_x(n);
+  Cholesky::multiply_lt(l, x.data().data(), lt_x.data().data());
+  EXPECT_TRUE(approx_equal(lt_x, l.transposed() * x, 1e-12));
+
+  // L y = x, L' y = x and L L' y = x.
+  Vector y = x;
+  Cholesky::forward_in_place(l, y.data().data());
+  EXPECT_TRUE(approx_equal(l * y, x, 1e-10));
+  y = x;
+  Cholesky::backward_in_place(l, y.data().data());
+  EXPECT_TRUE(approx_equal(l.transposed() * y, x, 1e-10));
+  y = x;
+  Cholesky::solve_in_place(l, y.data().data());
+  EXPECT_TRUE(approx_equal(a * y, x, 1e-9));
+
+  // L⁻¹ e_j starting at row j equals the full substitution.
+  for (std::size_t j = 0; j < n; ++j) {
+    Vector e(n);
+    e[j] = 1.0;
+    Vector full = e;
+    Cholesky::forward_in_place(l, full.data().data());
+    Vector from_j = e;
+    Cholesky::forward_in_place(l, from_j.data().data(), j);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(from_j[i]),
+                std::bit_cast<std::uint64_t>(full[i]))
+          << j << "/" << i;
+  }
+}
 
 }  // namespace
 }  // namespace eucon::linalg

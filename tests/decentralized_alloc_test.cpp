@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -78,32 +79,44 @@ void mpc_cycle(Vector& u, const Vector& b, int k) {
 }
 
 TEST(DecentralizedAllocTest, MpcUpdateIsAllocationFreeAcrossBranches) {
-  const PlantModel model = make_plant_model(workloads::medium());
-  MpcController ctrl(model, workloads::medium_controller_params(),
-                     workloads::medium().initial_rate_vector());
+  // MEDIUM's own tuning (P = 4, M = 2), and a second M = 2 controller on
+  // SIMPLE with the eq. (7) penalty, whose gain input carries Δr(k-1): both
+  // solve their misses over the cumulative moves with the box as bounds.
+  MpcParams simple_m2 = workloads::simple_controller_params();
+  simple_m2.prediction_horizon = 3;
+  simple_m2.control_horizon = 2;
+  simple_m2.penalty_form = PenaltyForm::kDeltaDeltaRate;
+  const std::pair<rts::SystemSpec, MpcParams> inputs[] = {
+      {workloads::medium(), workloads::medium_controller_params()},
+      {workloads::simple(), simple_m2},
+  };
+  for (const auto& [spec, params] : inputs) {
+    const PlantModel model = make_plant_model(spec);
+    MpcController ctrl(model, params, spec.initial_rate_vector());
 
-  Vector u = model.b;
-  for (int k = 0; k < 30; ++k) {
-    mpc_cycle(u, model.b, k);
-    ctrl.update(u);
-  }
-
-  const std::uint64_t hits0 = ctrl.fast_path_hits();
-  const std::uint64_t updates0 = ctrl.update_count();
-  const std::uint64_t fallbacks0 = ctrl.fallback_count();
-  {
-    const CountScope scope;
+    Vector u = model.b;
     for (int k = 0; k < 30; ++k) {
       mpc_cycle(u, model.b, k);
       ctrl.update(u);
     }
+
+    const std::uint64_t hits0 = ctrl.fast_path_hits();
+    const std::uint64_t updates0 = ctrl.update_count();
+    const std::uint64_t fallbacks0 = ctrl.fallback_count();
+    {
+      const CountScope scope;
+      for (int k = 0; k < 30; ++k) {
+        mpc_cycle(u, model.b, k);
+        ctrl.update(u);
+      }
+    }
+    EXPECT_EQ(CountScope::count(), 0u) << params.control_horizon;
+    // Every branch ran inside the counted region.
+    const std::uint64_t hits = ctrl.fast_path_hits() - hits0;
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(ctrl.update_count() - updates0 - hits, 0u);
+    EXPECT_GT(ctrl.fallback_count() - fallbacks0, 0u);
   }
-  EXPECT_EQ(CountScope::count(), 0u);
-  // Every branch ran inside the counted region.
-  const std::uint64_t hits = ctrl.fast_path_hits() - hits0;
-  EXPECT_GT(hits, 0u);
-  EXPECT_GT(ctrl.update_count() - updates0 - hits, 0u);
-  EXPECT_GT(ctrl.fallback_count() - fallbacks0, 0u);
 }
 
 TEST(DecentralizedAllocTest, UpdateIsAllocationFreeAfterWarmup) {

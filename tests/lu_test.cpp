@@ -82,7 +82,7 @@ TEST_P(LuRandomSolve, RecoversPlantedSolution) {
 INSTANTIATE_TEST_SUITE_P(Sizes, LuRandomSolve,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
-// KKT-style symmetric indefinite systems (what the QP solver feeds LU).
+// KKT-style symmetric indefinite systems.
 // Gaussian elimination with partial pivoting, one scalar at a time: the
 // bit-level reference for factor_into's unrolled row update.
 Matrix scalar_lu(Matrix a) {

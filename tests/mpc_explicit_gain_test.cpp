@@ -288,5 +288,32 @@ TEST(MpcExplicitGainTest, NonFiniteOptimumFollowsDenseMaxViolation) {
 #endif
 }
 
+// A NaN reading poisons the rate belief (keeping it out is the control
+// boundary's job). The next overloaded period then misses the fast path on
+// the utilization rows and runs the QP with a NaN rate box and a NaN
+// starting point. That solve must come back — no assertion, no exception —
+// whatever the rates read.
+TEST(MpcExplicitGainTest, NanMeasurementOnMissPathReturns) {
+#ifdef EUCON_NUMERIC_CHECKS
+  GTEST_SKIP() << "numeric checks reject a non-finite measurement up front";
+#else
+  for (int mh : {1, 2}) {
+    Rng rng(12);
+    const PlantModel model = random_model(rng);
+    MpcParams params;
+    params.prediction_horizon = mh + 1;
+    params.control_horizon = mh;
+    MpcController ctrl(model, params, model.rate_min);
+    Vector u = model.b;
+    u[0] = std::numeric_limits<double>::quiet_NaN();
+    ctrl.update(u);
+    for (std::size_t i = 0; i < u.size(); ++i) u[i] = 1.5 * model.b[i];
+    EXPECT_NO_THROW(ctrl.update(u)) << "M = " << mh;
+    EXPECT_FALSE(ctrl.last_fast_path()) << "M = " << mh;
+    EXPECT_FALSE(ctrl.last_used_fallback()) << "M = " << mh;
+  }
+#endif
+}
+
 }  // namespace
 }  // namespace eucon::control

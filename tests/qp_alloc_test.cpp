@@ -1,8 +1,8 @@
 // Proves the allocation-free contract of the workspace QP path: after a
 // warm-up solve has grown every buffer to its high-water mark, repeated
 // solves through solve_qp_into / LsqlinSolver::solve_into — phase-1,
-// KKT factorization, line search, warm-start write-back included — touch
-// the heap exactly zero times.
+// range-space steps, bounds, line search, warm-start write-back included —
+// touch the heap exactly zero times.
 //
 // The proof instrument is a replacement global operator new in this TU
 // (it governs the whole test binary) that bumps a counter while a test
@@ -59,8 +59,9 @@ struct CountScope {
 };
 
 // A dense box-constrained QP whose optimum pins several constraints, so
-// every steady-state solve runs the full active-set loop (KKT solves,
-// line searches, working-set churn) rather than terminating immediately.
+// every steady-state solve runs the full active-set loop (subproblem
+// solves, line searches, working-set churn) rather than terminating
+// immediately.
 struct DenseQpFixture {
   static constexpr std::size_t kN = 6;
   static constexpr std::size_t kM = 12;
@@ -69,6 +70,9 @@ struct DenseQpFixture {
   Matrix a = Matrix(kM, kN);
   Vector b = Vector(kM);
   Vector x0 = Vector(kN);
+
+  Matrix l;  // factor of h + εI, what solve_qp_into takes
+  const Vector none;
 
   DenseQpFixture() {
     for (std::size_t i = 0; i < kN; ++i) {
@@ -79,6 +83,7 @@ struct DenseQpFixture {
       a(kN + i, i) = -1.0;
       b[kN + i] = 1.0;
     }
+    EXPECT_TRUE(factor_hessian(h, Options{}.regularization, l));
   }
 };
 
@@ -91,9 +96,11 @@ TEST(QpAllocTest, SolveQpIntoIsAllocationFreeAfterWarmup) {
   // Warm-up: grows out.x, warm.working, and every workspace buffer to
   // steady-state capacity. Two passes so the write-back path has already
   // seen its largest working set.
-  solve_qp_into(fx.h, fx.f, fx.a, fx.b, &fx.x0, {}, &warm, ws, out);
+  solve_qp_into(fx.l, fx.f, fx.a, fx.b, fx.none, fx.none,
+                &fx.x0, {}, &warm, ws, out);
   ASSERT_EQ(out.status, Status::kOptimal);
-  solve_qp_into(fx.h, fx.f, fx.a, fx.b, &fx.x0, {}, &warm, ws, out);
+  solve_qp_into(fx.l, fx.f, fx.a, fx.b, fx.none, fx.none,
+                &fx.x0, {}, &warm, ws, out);
   ASSERT_EQ(out.status, Status::kOptimal);
 
   int optimal = 0;
@@ -103,7 +110,8 @@ TEST(QpAllocTest, SolveQpIntoIsAllocationFreeAfterWarmup) {
       // Perturb the gradient in place so each solve does real work (the
       // optimum moves), without touching the heap from the test side.
       fx.f[0] = -4.0 - 0.01 * static_cast<double>(k % 7);
-      solve_qp_into(fx.h, fx.f, fx.a, fx.b, &fx.x0, {}, &warm, ws, out);
+      solve_qp_into(fx.l, fx.f, fx.a, fx.b, fx.none, fx.none,
+                    &fx.x0, {}, &warm, ws, out);
       if (out.status == Status::kOptimal) ++optimal;
     }
   }
@@ -118,14 +126,80 @@ TEST(QpAllocTest, ColdStartPhase1PathIsAllocationFreeAfterWarmup) {
   QpWorkspace ws;
   ws.reserve(fx.kN, fx.kM);
   Result out;
-  solve_qp_into(fx.h, fx.f, fx.a, fx.b, nullptr, {}, nullptr, ws, out);
+  solve_qp_into(fx.l, fx.f, fx.a, fx.b, fx.none, fx.none,
+                nullptr, {}, nullptr, ws, out);
   ASSERT_EQ(out.status, Status::kOptimal);
 
   int optimal = 0;
   {
     const CountScope scope;
     for (int k = 0; k < 20; ++k) {
-      solve_qp_into(fx.h, fx.f, fx.a, fx.b, nullptr, {}, nullptr, ws, out);
+      solve_qp_into(fx.l, fx.f, fx.a, fx.b, fx.none, fx.none,
+                    nullptr, {}, nullptr, ws, out);
+      if (out.status == Status::kOptimal) ++optimal;
+    }
+  }
+  EXPECT_EQ(optimal, 20);
+  EXPECT_EQ(CountScope::count(), 0u);
+}
+
+// The fixture's box as native bounds, with one general row left in A: the
+// bound line-search, activity and Schur paths must be as heap-free as the
+// dense ones.
+struct BoundedQpFixture {
+  static constexpr std::size_t kN = DenseQpFixture::kN;
+  DenseQpFixture dense;
+  Matrix a = Matrix(1, kN, 1.0);  // sum(x) <= 4
+  Vector b = Vector(1, 4.0);
+  Vector lb = Vector(kN, -1.0);
+  Vector ub = Vector(kN, 1.0);
+};
+
+TEST(QpAllocTest, BoundedWarmSolvesAreAllocationFreeAfterWarmup) {
+  BoundedQpFixture fx;
+  DenseQpFixture& d = fx.dense;
+  QpWorkspace ws;
+  ws.reserve(fx.kN, fx.a.rows());
+  Result out;
+  WarmStart warm;
+  for (int pass = 0; pass < 2; ++pass) {
+    solve_qp_into(d.l, d.f, fx.a, fx.b, fx.lb, fx.ub, &d.x0, {}, &warm, ws,
+                  out);
+    ASSERT_EQ(out.status, Status::kOptimal);
+  }
+
+  int optimal = 0;
+  {
+    const CountScope scope;
+    for (int k = 0; k < 50; ++k) {
+      d.f[0] = -4.0 - 0.01 * static_cast<double>(k % 7);
+      solve_qp_into(d.l, d.f, fx.a, fx.b, fx.lb, fx.ub, &d.x0, {}, &warm, ws,
+                    out);
+      if (out.status == Status::kOptimal) ++optimal;
+    }
+  }
+  EXPECT_EQ(optimal, 50);
+  EXPECT_EQ(CountScope::count(), 0u);
+}
+
+TEST(QpAllocTest, BoundedPhase1PathIsAllocationFreeAfterWarmup) {
+  // Lower bounds above zero: every cold solve runs phase 1 with the box.
+  BoundedQpFixture fx;
+  DenseQpFixture& d = fx.dense;
+  for (std::size_t j = 0; j < fx.kN; ++j) fx.lb[j] = 0.25;
+  QpWorkspace ws;
+  ws.reserve(fx.kN, fx.a.rows());
+  Result out;
+  solve_qp_into(d.l, d.f, fx.a, fx.b, fx.lb, fx.ub, nullptr, {}, nullptr, ws,
+                out);
+  ASSERT_EQ(out.status, Status::kOptimal);
+
+  int optimal = 0;
+  {
+    const CountScope scope;
+    for (int k = 0; k < 20; ++k) {
+      solve_qp_into(d.l, d.f, fx.a, fx.b, fx.lb, fx.ub, nullptr, {}, nullptr,
+                    ws, out);
       if (out.status == Status::kOptimal) ++optimal;
     }
   }

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace eucon::qp {
 namespace {
@@ -33,6 +34,28 @@ TEST(QpStressTest, DependentWorkingSetRowsRecoveredByDrop) {
   EXPECT_NEAR(r.x[1], 1.0, 1e-6);
   // The written-back working set no longer carries the dependent duplicate.
   EXPECT_EQ(warm.working.size(), 1u);
+}
+
+TEST(QpStressTest, GeneralRowParallelToBoundRecoveredByDrop) {
+  // min ||x - (2,2)||^2 with x1 <= 1 stated once as a row of A and once as
+  // the bound ub_1. Seeding both (both active at x0) makes the first Schur
+  // matrix singular; the solver must drop the newest member (the bound,
+  // index m + 0 = 1) and still reach the optimum at (1, 2).
+  const double inf = std::numeric_limits<double>::infinity();
+  Matrix h{{2.0, 0.0}, {0.0, 2.0}};
+  Vector f{-4.0, -4.0};
+  Matrix a{{1.0, 0.0}};
+  Vector b{1.0};
+  Vector ub{1.0, inf};
+  Vector x0{1.0, 0.0};
+  WarmStart warm;
+  warm.working = {0, 1};
+  const Result r = solve_qp(h, f, a, b, Vector(), ub, &x0, {}, &warm);
+  ASSERT_EQ(r.status, Status::kOptimal);
+  EXPECT_NEAR(r.x[0], 1.0, 1e-6);
+  EXPECT_NEAR(r.x[1], 2.0, 1e-6);
+  ASSERT_EQ(warm.working.size(), 1u);
+  EXPECT_EQ(warm.working[0], 0u);
 }
 
 TEST(QpStressTest, ZeroStepBlockingConstraintActivatesWithoutMoving) {
@@ -101,6 +124,38 @@ TEST(QpStressTest, WarmStartSurvivesShrunkConstraintCount) {
   for (const std::size_t i : warm.working) EXPECT_LT(i, 2u);
 }
 
+TEST(QpStressTest, WarmStartBoundIndicesSurviveShrunkRowCount) {
+  // Bound indices are numbered after A's rows, so a working set carried
+  // from a problem with more rows names different constraints — or none —
+  // in the next one. The activity test must filter them, and the
+  // write-back must hold only indices valid for the new problem.
+  Matrix h{{2.0, 0.0}, {0.0, 2.0}};
+  Vector f{-6.0, -6.0};
+  Vector lb{-1.0, -1.0};
+  Vector ub{1.0, 1.0};
+  Matrix a3{{1.0, 1.0}, {1.0, -1.0}, {-1.0, 1.0}};
+  Vector b3{3.0, 2.0, 2.0};
+  WarmStart warm;
+  const Result r3 = solve_qp(h, f, a3, b3, lb, ub, nullptr, {}, &warm);
+  ASSERT_EQ(r3.status, Status::kOptimal);
+  // Both upper bounds bind at (1, 1): indices 3 + 0 and 3 + 1.
+  ASSERT_EQ(warm.working.size(), 2u);
+  EXPECT_GE(*std::min_element(warm.working.begin(), warm.working.end()), 3u);
+  warm.working.push_back(99);  // stale in any problem here
+
+  // One row: indices 3 and 4 are now the lower bounds, slack at x0 = 0.
+  Matrix a1{{1.0, 1.0}};
+  Vector b1{3.0};
+  Vector x0{0.0, 0.0};
+  const Result r1 = solve_qp(h, f, a1, b1, lb, ub, &x0, {}, &warm);
+  ASSERT_EQ(r1.status, Status::kOptimal);
+  EXPECT_NEAR(r1.x[0], 1.0, 1e-6);
+  EXPECT_NEAR(r1.x[1], 1.0, 1e-6);
+  for (const std::size_t i : warm.working) EXPECT_LT(i, 1u + 2u * 2u);
+  const Result fresh = solve_qp(h, f, a1, b1, lb, ub, &x0);
+  EXPECT_EQ(r1.iterations, fresh.iterations);
+}
+
 TEST(QpStressTest, WarmStartWrittenBackOnIterationLimit) {
   // A one-iteration budget cannot finish this problem (two constraints to
   // activate), but the warm start must still leave with the working set
@@ -150,6 +205,29 @@ TEST(QpStressTest, ColdSolveCountsPhaseOneIterations) {
   EXPECT_GT(cold.iterations, seeded.iterations);
 }
 
+TEST(QpStressTest, ColdStartWithBoundsRunsPhaseOne) {
+  // x = 0 violates both the box and the row x1 + x2 >= 3, so a cold solve
+  // runs phase 1 inside the box: min ||x||^2 s.t. x1 + x2 >= 3,
+  // 0.5 <= x, x2 <= 1 has its optimum at (2, 1).
+  Matrix h{{2.0, 0.0}, {0.0, 2.0}};
+  Vector f(2);
+  Matrix a{{-1.0, -1.0}};
+  Vector b{-3.0};
+  Vector lb{0.5, 0.5};
+  Vector ub{5.0, 1.0};
+  const Result cold = solve_qp(h, f, a, b, lb, ub);
+  ASSERT_EQ(cold.status, Status::kOptimal);
+  EXPECT_NEAR(cold.x[0], 2.0, 1e-6);
+  EXPECT_NEAR(cold.x[1], 1.0, 1e-6);
+  EXPECT_GT(cold.iterations, 0);
+
+  // A box no point of the row meets, and a crossed box, are infeasible.
+  Vector ub_small{1.0, 1.0};
+  EXPECT_EQ(solve_qp(h, f, a, b, lb, ub_small).status, Status::kInfeasible);
+  Vector lb_crossed{0.5, 2.0};
+  EXPECT_EQ(solve_qp(h, f, a, b, lb_crossed, ub).status, Status::kInfeasible);
+}
+
 TEST(QpStressTest, WorkspaceReusedAcrossShapes) {
   // One workspace, three different problem shapes within its reserve
   // bounds: results must match fresh one-shot solves.
@@ -169,7 +247,10 @@ TEST(QpStressTest, WorkspaceReusedAcrossShapes) {
       a(i, i) = 1.0;
       a(n + i, i) = -1.0;
     }
-    solve_qp_into(h, f, a, b, nullptr, {}, nullptr, ws, out);
+    Matrix l;
+    ASSERT_TRUE(factor_hessian(h, Options{}.regularization, l));
+    solve_qp_into(l, f, a, b, Vector(), Vector(), nullptr, {}, nullptr, ws,
+                  out);
     const Result fresh = solve_qp(h, f, a, b);
     ASSERT_EQ(out.status, Status::kOptimal) << n;
     ASSERT_EQ(fresh.status, Status::kOptimal) << n;
@@ -187,9 +268,13 @@ TEST(QpStressTest, WorkspaceTooSmallIsRefused) {
   Vector f{-1.0, -1.0};
   Matrix a{{1.0, 0.0}};
   Vector b{1.0};
+  Matrix l;
+  ASSERT_TRUE(factor_hessian(h, Options{}.regularization, l));
+  const Vector none;
   Result out;
-  EXPECT_THROW(solve_qp_into(h, f, a, b, nullptr, {}, nullptr, ws, out),
-               std::invalid_argument);
+  EXPECT_THROW(
+      solve_qp_into(l, f, a, b, none, none, nullptr, {}, nullptr, ws, out),
+      std::invalid_argument);
 }
 
 }  // namespace

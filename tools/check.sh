@@ -47,6 +47,8 @@
 #   tools/check.sh --scale     # bench_scaling --smoke (sharded controller up
 #                              # to 10k processors) + schema and blowup gate
 #                              # on the checked-in BENCH_SCALING.json
+#   tools/check.sh --release   # Release (-O3) build of every target with
+#                              # -Werror, then the linalg/qp/control tests
 #
 # Each preset builds into build-<preset>/ (gitignored). Exit status is
 # nonzero as soon as any preset fails.
@@ -363,6 +365,30 @@ EOF
   echo "=== [steer] OK ==="
 }
 
+# Release preset: the optimized (-O3) configuration must build with the
+# default EUCON_WERROR=ON, since -O3 inlines more than RelWithDebInfo and
+# raises its own warnings (a GCC 12 -Wrestrict false positive once broke
+# it). Builds every target, then runs the numerical core's tests — linalg,
+# qp and control — where optimization-dependent code generation matters.
+RELEASE_TESTS='(^|/)(VectorTest|MatrixTest|LuTest|LuRandomSolve|QrTest'
+RELEASE_TESTS+='|QrRandomLs|RankTest|CholeskyTest|CholeskyRandom|EigTest'
+RELEASE_TESTS+='|EigRandom|SparseTest|LinalgEdgeTest|QpTest|QpRandomBox'
+RELEASE_TESTS+='|QpRandomDense|QpStressTest|QpAllocTest|QpOracle|QpEdgeTest'
+RELEASE_TESTS+='|LsqlinTest|LsqlinRandom|LsqlinSolverTest|MpcControllerTest'
+RELEASE_TESTS+='|MpcExplicitGainTest|ExplicitGainParity|MpcGainsTest'
+RELEASE_TESTS+='|MpcMatricesTest|MpcParamsTest|MpcGainEstimateTest'
+RELEASE_TESTS+='|MpcGainSweep|PenaltyFormTest|StabilityTest'
+RELEASE_TESTS+='|StabilityPrediction|ModelTest|PidTest|HierarchicalTest'
+RELEASE_TESTS+='|DecentralizedTest|DecentralizedAllocTest|AdaptiveMpcTest'
+RELEASE_TESTS+='|GainEstimatorTest|AdmissionGovernorTest'
+RELEASE_TESTS+='|ReallocationPlannerTest|OpenLoopTest|UncoordinatedTest'
+RELEASE_TESTS+='|LinearPlantTest|SparseLinearPlantTest|SparseModelTest'
+RELEASE_TESTS+='|DiagnosticsTest|TopologyTest)\.'
+run_release() {
+  configure_build_test release --tests "$RELEASE_TESTS" \
+    -DCMAKE_BUILD_TYPE=Release -DEUCON_WERROR=ON
+}
+
 MODE="all"
 TSAN=0
 for arg in "$@"; do
@@ -375,9 +401,10 @@ for arg in "$@"; do
     --perf) MODE="perf" ;;
     --steer) MODE="steer" ;;
     --scale) MODE="scale" ;;
+    --release) MODE="release" ;;
     --tsan) TSAN=1 ;;
     --help | -h)
-      sed -n '2,49p' "$0"
+      sed -n '2,51p' "$0"
       exit 0
       ;;
     *)
@@ -409,6 +436,9 @@ case "$MODE" in
     ;;
   scale)
     run_scale
+    ;;
+  release)
+    run_release
     ;;
   fast)
     run_lint
