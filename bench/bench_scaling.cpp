@@ -17,20 +17,35 @@
 // steady-state rates at u = B are unique) at every n <= 128, and checks
 // the shard-boundary reconciliation converges to the central fixpoint.
 //
-// Usage: bench_scaling [--smoke] [--json PATH]
-//   --smoke      short settle/timing loops (the ctest gate)
-//   --json PATH  where to write the JSON report (default BENCH_SCALING.json)
+// The thread axis times the same closed loop at every n >= 1k once per
+// sweep worker count (HierarchicalParams::workers): one controller per
+// count, settled, then kTrials interleaved trials (the counts take turns,
+// alternating direction) of `timed` periods each. Each count's period p50
+// is reported as the median of its per-trial p50s with their min/max; a
+// speedup over one worker is written only when the two min/max intervals
+// do not overlap, and is null with the reason otherwise (the honesty rule
+// of BENCH_PERF.json's speedup).
+//
+// Usage: bench_scaling [--smoke] [--json PATH] [--threads LIST]
+//   --smoke         short settle/timing loops (the ctest gate)
+//   --json PATH     where to write the JSON report (default BENCH_SCALING.json)
+//   --threads LIST  sweep worker counts for the thread axis, comma-separated,
+//                   must include 1 (default 1,2,4)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
+#include "common/fork_join.h"
+#include "common/thread_pool.h"
 #include "eucon/eucon.h"
 
 using namespace eucon;
@@ -42,6 +57,9 @@ using linalg::Vector;
 
 constexpr int kProcessorCounts[] = {16, 128, 1000, 4000, 10000};
 constexpr std::size_t kShardSize = 32;
+// The thread axis covers every n at or above this size.
+constexpr int kThreadAxisMinProcessors = 1000;
+constexpr std::size_t kTrials = 3;
 
 control::MpcParams scale_params() {
   control::MpcParams p;  // the SIMPLE row: the smallest honest horizon
@@ -72,6 +90,30 @@ workloads::ChainClusterParams cluster(int n, int tasks_per_processor) {
   return params;
 }
 
+// One sweep worker count's period p50 over the interleaved trials.
+struct ThreadTiming {
+  std::size_t workers = 0;
+  std::vector<double> trial_p50_us;
+
+  double min_us() const {
+    return *std::min_element(trial_p50_us.begin(), trial_p50_us.end());
+  }
+  double max_us() const {
+    return *std::max_element(trial_p50_us.begin(), trial_p50_us.end());
+  }
+  double median_us() const;
+};
+
+// Speedup of `workers` over one worker: median ratio plus the interval
+// [min_1 / max_W, max_1 / min_W], written only when the p50 intervals
+// separate (`reason` says why not otherwise).
+struct Speedup {
+  std::size_t workers = 0;
+  bool separated = false;
+  double value = 0.0, lo = 0.0, hi = 0.0;
+  std::string reason;
+};
+
 struct ScalePoint {
   int processors = 0;
   std::size_t tasks = 0;
@@ -85,6 +127,9 @@ struct ScalePoint {
   double period_p50_us = 0.0;
   double period_mean_us = 0.0;
   double steady_err_max = 0.0;
+  std::size_t workers = 0;  // auto-resolved sweep participants
+  std::vector<ThreadTiming> threads;  // n >= kThreadAxisMinProcessors only
+  std::vector<Speedup> speedups;
 };
 
 struct ParityPoint {
@@ -133,12 +178,39 @@ double percentile(std::vector<double> samples, double q) {
   return samples[lo] + frac * (samples[hi] - samples[lo]);
 }
 
+double ThreadTiming::median_us() const {
+  return percentile(trial_p50_us, 0.5);
+}
+
+// One timed sampling period k after settling: disturb one processor off
+// its set point (outside the timed region) so the period's QPs see a
+// moving target, as a live cluster would, then time controller update
+// plus plant step. Returns microseconds.
+double timed_period(control::HierarchicalMpcController& ctrl,
+                    control::SparseLinearPlant& plant,
+                    const control::SparsePlantModel& model, std::size_t k) {
+  Vector u = plant.utilization();
+  const std::size_t hot = k % u.size();
+  // Steps of -0.03, 0 and +0.03 (k is unsigned: subtract after the cast).
+  u[hot] = std::clamp(
+      model.b[hot] + 0.03 * (static_cast<double>(k % 3) - 1.0), 0.0, 1.0);
+  const auto t0 = SteadyClock::now();
+  const Vector& rates = ctrl.update(u);
+  plant.step(rates);
+  const auto t1 = SteadyClock::now();
+  return std::chrono::duration<double, std::micro>(t1 - t0).count();
+}
+
+rts::SystemSpec scale_spec(int n) {
+  return workloads::chain_cluster(cluster(n, 2),
+                                  40 + static_cast<std::uint64_t>(n));
+}
+
 // Closed loop at one size: settle to steady state, then time `timed`
 // sampling periods (controller update + plant step) with one measurement
 // jiggled per period so every shard keeps doing real control work.
 ScalePoint run_point(int n, std::size_t settle, std::size_t timed) {
-  const rts::SystemSpec spec =
-      workloads::chain_cluster(cluster(n, 2), 40 + static_cast<std::uint64_t>(n));
+  const rts::SystemSpec spec = scale_spec(n);
   const Vector r0 = spec.initial_rate_vector();
 
   const auto c0 = SteadyClock::now();
@@ -160,6 +232,7 @@ ScalePoint run_point(int n, std::size_t settle, std::size_t timed) {
   pt.workspace_cons = ws_cons;
   pt.construct_ms =
       std::chrono::duration<double, std::milli>(c1 - c0).count();
+  pt.workers = ctrl.workers();
 
   control::SparseLinearPlant plant(
       model, Vector(model.num_processors(), 1.0), r0);
@@ -170,29 +243,87 @@ ScalePoint run_point(int n, std::size_t settle, std::size_t timed) {
 
   std::vector<double> us;
   us.reserve(timed);
-  for (std::size_t k = 0; k < timed; ++k) {
-    // Disturb one processor off its set point (outside the timed region)
-    // so the period's QPs see a moving target, as a live cluster would.
-    u = plant.utilization();
-    const std::size_t hot = k % u.size();
-    u[hot] = std::clamp(
-        model.b[hot] + 0.03 * static_cast<double>(k % 3 - 1), 0.0, 1.0);
-    const auto t0 = SteadyClock::now();
-    const Vector& rates = ctrl.update(u);
-    plant.step(rates);
-    const auto t1 = SteadyClock::now();
-    us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
-  }
+  for (std::size_t k = 0; k < timed; ++k)
+    us.push_back(timed_period(ctrl, plant, model, k));
   pt.periods_timed = timed;
   pt.period_p50_us = percentile(us, 0.50);
   double sum = 0.0;
   for (double v : us) sum += v;
   pt.period_mean_us = sum / static_cast<double>(us.size());
 
-  std::printf("%6d,%7zu,%8zu,%6zu,%8zu,%12.2f,%14.2f,%14.2f,%12.4f\n", n,
+  std::printf("%6d,%7zu,%8zu,%6zu,%8zu,%12.2f,%14.2f,%14.2f,%12.4f,%7zu\n", n,
               pt.tasks, pt.nnz, pt.shards, pt.max_shard_vars, pt.construct_ms,
-              pt.period_p50_us, pt.period_mean_us, pt.steady_err_max);
+              pt.period_p50_us, pt.period_mean_us, pt.steady_err_max,
+              pt.workers);
   return pt;
+}
+
+// The thread axis at one size: one settled closed loop per worker count
+// (the rates, and so the trajectories, are byte-identical across counts),
+// timed in kTrials interleaved trials of `timed` periods.
+void run_threads(ScalePoint& pt, const std::vector<std::size_t>& counts,
+                 std::size_t settle, std::size_t timed) {
+  const rts::SystemSpec spec = scale_spec(pt.processors);
+  const Vector r0 = spec.initial_rate_vector();
+  const control::SparsePlantModel model =
+      pin_reachable_set_points(control::make_sparse_plant_model(spec));
+  struct Loop {
+    std::unique_ptr<control::HierarchicalMpcController> ctrl;
+    std::unique_ptr<control::SparseLinearPlant> plant;
+    std::size_t k = 0;
+  };
+  std::vector<Loop> loops;
+  for (const std::size_t w : counts) {
+    control::HierarchicalParams hier;
+    hier.shard_size = kShardSize;
+    hier.workers = w;
+    Loop loop;
+    loop.ctrl = std::make_unique<control::HierarchicalMpcController>(
+        model, scale_params(), hier, r0);
+    loop.plant = std::make_unique<control::SparseLinearPlant>(
+        model, Vector(model.num_processors(), 1.0), r0);
+    Vector u = loop.plant->utilization();
+    for (std::size_t k = 0; k < settle; ++k)
+      u = loop.plant->step(loop.ctrl->update(u));
+    loops.push_back(std::move(loop));
+    pt.threads.push_back({w, {}});
+  }
+  std::vector<double> us(timed);
+  for (std::size_t t = 0; t < kTrials; ++t)
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      const std::size_t c = t % 2 == 0 ? i : counts.size() - 1 - i;
+      Loop& loop = loops[c];
+      for (double& sample : us)
+        sample = timed_period(*loop.ctrl, *loop.plant, model, loop.k++);
+      pt.threads[c].trial_p50_us.push_back(percentile(us, 0.5));
+    }
+
+  const ThreadTiming& one = *std::find_if(
+      pt.threads.begin(), pt.threads.end(),
+      [](const ThreadTiming& tt) { return tt.workers == 1; });
+  for (const ThreadTiming& tt : pt.threads) {
+    std::printf("threads n=%-5d workers=%-2zu p50_us=%.1f [%.1f, %.1f]\n",
+                pt.processors, tt.workers, tt.median_us(), tt.min_us(),
+                tt.max_us());
+    if (tt.workers == 1) continue;
+    Speedup sp;
+    sp.workers = tt.workers;
+    sp.separated = tt.max_us() < one.min_us() || tt.min_us() > one.max_us();
+    if (sp.separated) {
+      sp.value = one.median_us() / tt.median_us();
+      sp.lo = one.min_us() / tt.max_us();
+      sp.hi = one.max_us() / tt.min_us();
+    } else {
+      char why[160];
+      std::snprintf(why, sizeof why,
+                    "p50 intervals overlap: 1 worker [%.1f, %.1f] us vs %zu "
+                    "workers [%.1f, %.1f] us",
+                    one.min_us(), one.max_us(), tt.workers, tt.min_us(),
+                    tt.max_us());
+      sp.reason = why;
+    }
+    pt.speedups.push_back(sp);
+  }
 }
 
 // Sharded vs central MPC on a square-F scenario (unique steady-state
@@ -251,6 +382,32 @@ std::string json_number(double v) {
   return buf;
 }
 
+void write_threads(std::ofstream& out, const ScalePoint& p) {
+  out << "      \"threads\": [\n";
+  for (std::size_t i = 0; i < p.threads.size(); ++i) {
+    const ThreadTiming& t = p.threads[i];
+    out << "        {\"workers\": " << t.workers
+        << ", \"trials\": " << t.trial_p50_us.size()
+        << ", \"period_p50_us\": " << json_number(t.median_us())
+        << ", \"p50_min_us\": " << json_number(t.min_us())
+        << ", \"p50_max_us\": " << json_number(t.max_us()) << "}"
+        << (i + 1 < p.threads.size() ? "," : "") << "\n";
+  }
+  out << "      ],\n";
+  out << "      \"speedup\": [\n";
+  for (std::size_t i = 0; i < p.speedups.size(); ++i) {
+    const Speedup& s = p.speedups[i];
+    out << "        {\"workers\": " << s.workers << ", \"speedup\": ";
+    if (s.separated)
+      out << json_number(s.value) << ", \"lo\": " << json_number(s.lo)
+          << ", \"hi\": " << json_number(s.hi);
+    else
+      out << "null, \"reason\": \"" << s.reason << "\"";
+    out << "}" << (i + 1 < p.speedups.size() ? "," : "") << "\n";
+  }
+  out << "      ],\n";
+}
+
 void write_report(const std::string& path,
                   const std::vector<ScalePoint>& points,
                   const std::vector<ParityPoint>& parity, double blowup,
@@ -258,9 +415,11 @@ void write_report(const std::string& path,
   std::ofstream out(path);
   EUCON_REQUIRE(out.good(), "cannot open JSON report path: " + path);
   out << "{\n";
-  out << "  \"schema_version\": 1,\n";
+  out << "  \"schema_version\": 2,\n";
   out << "  \"generated_by\": \"bench_scaling\",\n";
   out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
+  out << "  \"hardware_concurrency\": " << ThreadPool::default_workers()
+      << ",\n";
   out << "  \"shard_size\": " << kShardSize << ",\n";
   out << "  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -278,6 +437,8 @@ void write_report(const std::string& path,
     out << "      \"period_p50_us\": " << json_number(p.period_p50_us) << ",\n";
     out << "      \"period_mean_us\": " << json_number(p.period_mean_us)
         << ",\n";
+    out << "      \"workers\": " << p.workers << ",\n";
+    if (!p.threads.empty()) write_threads(out, p);
     out << "      \"steady_err_max\": " << json_number(p.steady_err_max)
         << "\n";
     out << "    }" << (i + 1 < points.size() ? "," : "") << "\n";
@@ -296,6 +457,77 @@ void write_report(const std::string& path,
   out << "  \"blowup_10k_vs_1k\": " << json_number(blowup) << "\n";
   out << "}\n";
   EUCON_REQUIRE(out.good(), "failed writing JSON report: " + path);
+}
+
+// Checks one point's thread axis: every worker count (1 among them) with
+// at least kTrials trials and min <= p50 <= max, and one speedup entry per
+// count above 1 that is a number exactly when the count's p50 interval
+// separates from one worker's (the median ratio, inside [lo, hi]) and
+// null with a reason otherwise. Returns the number of violations.
+int validate_threads(const bench::JsonReader& reader, const std::string& p) {
+  int violations = 0;
+  const auto need = [&](bool ok, const std::string& what) {
+    if (!ok) {
+      std::fprintf(stderr, "schema: %s\n", what.c_str());
+      ++violations;
+    }
+  };
+  const auto num = [&](const std::string& key) {
+    return reader.has_number(key) ? reader.number(key) : std::nan("");
+  };
+  std::size_t counts = 0, speedups = 0;
+  try {
+    counts = reader.array_size(p + ".threads");
+    speedups = reader.array_size(p + ".speedup");
+  } catch (const std::exception&) {
+    // handled by the need() below
+  }
+  need(counts >= 2 && speedups + 1 == counts,
+       p + " needs a threads array (>= 2 worker counts) and one speedup "
+           "entry per count above 1");
+  double one_lo = std::nan(""), one_hi = std::nan(""), one_med = std::nan("");
+  for (std::size_t i = 0; i < counts; ++i) {
+    const std::string t = p + ".threads[" + std::to_string(i) + "]";
+    const double lo = num(t + ".p50_min_us"), med = num(t + ".period_p50_us"),
+                 hi = num(t + ".p50_max_us");
+    need(num(t + ".trials") >= static_cast<double>(kTrials),
+         t + ".trials missing or < " + std::to_string(kTrials));
+    need(lo > 0.0 && lo <= med && med <= hi, t + " needs 0 < min <= p50 <= max");
+    if (num(t + ".workers") == 1.0) {  // eucon-lint: allow(float-equality)
+      one_lo = lo;
+      one_med = med;
+      one_hi = hi;
+    }
+  }
+  need(std::isfinite(one_med), p + ".threads lacks the 1-worker baseline");
+  for (std::size_t i = 0; i < speedups && std::isfinite(one_med); ++i) {
+    const std::string e = p + ".speedup[" + std::to_string(i) + "]";
+    const double w = num(e + ".workers");
+    double lo = std::nan(""), med = std::nan(""), hi = std::nan("");
+    for (std::size_t k = 0; k < counts; ++k) {
+      const std::string t = p + ".threads[" + std::to_string(k) + "]";
+      if (num(t + ".workers") == w) {  // eucon-lint: allow(float-equality)
+        lo = num(t + ".p50_min_us");
+        med = num(t + ".period_p50_us");
+        hi = num(t + ".p50_max_us");
+      }
+    }
+    need(w > 1.0 && std::isfinite(med), e + ".workers names no timed count");
+    const bool separated = hi < one_lo || lo > one_hi;
+    if (reader.has_null(e + ".speedup")) {
+      need(!separated, e + ": intervals separate, so the speedup is known");
+      need(reader.has_string(e + ".reason") &&
+               !reader.string_at(e + ".reason").empty(),
+           e + ": a null speedup needs a reason");
+    } else {
+      const double v = num(e + ".speedup");
+      need(separated, e + ": speedup written although the intervals overlap");
+      need(std::abs(v - one_med / med) <= 1e-6 * v &&
+               num(e + ".lo") <= v && v <= num(e + ".hi"),
+           e + ": speedup must be the median ratio, inside [lo, hi]");
+    }
+  }
+  return violations;
 }
 
 // Re-reads the emitted report and checks the schema; returns the number of
@@ -332,6 +564,9 @@ int validate_report(const std::string& path) {
   need(reader.has_bool("smoke"), "smoke flag missing");
   need(reader.has_number("shard_size") && reader.number("shard_size") >= 1.0,
        "shard_size missing or < 1");
+  need(reader.has_number("hardware_concurrency") &&
+           reader.number("hardware_concurrency") >= 1.0,
+       "hardware_concurrency missing or < 1");
 
   std::size_t num_points = 0;
   try {
@@ -364,6 +599,10 @@ int validate_report(const std::string& path) {
     need(reader.has_number(p + ".steady_err_max") &&
              reader.number(p + ".steady_err_max") < 0.02,
          p + ".steady_err_max must show a settled loop (< 0.02)");
+    need(reader.has_number(p + ".workers") && reader.number(p + ".workers") >= 1.0,
+         p + ".workers missing or < 1");
+    if (i < expected && kProcessorCounts[i] >= kThreadAxisMinProcessors)
+      violations += validate_threads(reader, p);
   }
 
   std::size_t parity_points = 0;
@@ -402,15 +641,38 @@ int validate_report(const std::string& path) {
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path = "BENCH_SCALING.json";
+  std::vector<std::size_t> thread_counts = {1, 2, 4};
+  const auto usage = [] {
+    std::fprintf(stderr,
+                 "usage: bench_scaling [--smoke] [--json PATH] "
+                 "[--threads N,N,...]  (worker counts in 1..%zu, one of "
+                 "them 1)\n",
+                 ForkJoinTeam::kMaxSize);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
+    } else if (arg == "--threads" && i + 1 < argc) {
+      thread_counts.clear();
+      std::istringstream list(argv[++i]);
+      std::string item;
+      while (std::getline(list, item, ',')) {
+        char* end = nullptr;
+        const unsigned long w = std::strtoul(item.c_str(), &end, 10);
+        if (item.empty() || *end != '\0' || w < 1 ||
+            w > ForkJoinTeam::kMaxSize ||
+            std::count(thread_counts.begin(), thread_counts.end(), w) > 0)
+          return usage();
+        thread_counts.push_back(w);
+      }
+      if (std::count(thread_counts.begin(), thread_counts.end(), 1u) == 0)
+        return usage();
     } else {
-      std::fprintf(stderr, "usage: bench_scaling [--smoke] [--json PATH]\n");
-      return 2;
+      return usage();
     }
   }
 
@@ -424,10 +686,16 @@ int main(int argc, char** argv) {
               kShardSize);
   bench::print_header({"procs", "tasks", "nnz", "shards", "max_shard_vars",
                        "construct_ms", "period_p50_us", "period_mean_us",
-                       "steady_err_max"});
+                       "steady_err_max", "workers"});
   std::vector<ScalePoint> points;
   for (const int n : kProcessorCounts)
     points.push_back(run_point(n, settle, timed));
+  std::printf("# Thread axis: period p50 per sweep worker count, %zu "
+              "interleaved trials of %zu periods\n",
+              kTrials, timed);
+  for (ScalePoint& p : points)
+    if (p.processors >= kThreadAxisMinProcessors)
+      run_threads(p, thread_counts, settle, timed);
 
   for (const ScalePoint& p : points) {
     checks.expect(p.steady_err_max < 0.02,

@@ -144,34 +144,43 @@ TEST(DecentralizedAllocTest, UpdateIsAllocationFreeAfterWarmup) {
 }
 
 TEST(DecentralizedAllocTest, HierarchicalUpdateIsAllocationFreeAfterWarmup) {
-  workloads::ChainClusterParams params;
-  params.num_processors = 32;
-  params.tasks_per_processor = 2;
-  params.chain_length = 3;
-  const rts::SystemSpec spec = workloads::chain_cluster(params, 17);
-  const SparsePlantModel model = make_sparse_plant_model(spec);
-  MpcParams mpc;
-  mpc.prediction_horizon = 2;
-  mpc.control_horizon = 1;
-  HierarchicalParams hier;
-  hier.shard_size = 8;
-  HierarchicalMpcController ctrl(model, mpc, hier,
-                                 spec.initial_rate_vector());
+  // The serial sweep (32 processors: auto mode stays on the caller), then
+  // an explicit three-participant sweep over 96 processors (two colors of
+  // six shards, two per participant), whose counted region spans every
+  // fork-join: operator new on any thread counts.
+  const std::pair<int, std::size_t> cases[] = {{32, 0}, {96, 3}};
+  for (const auto& [n, workers] : cases) {
+    workloads::ChainClusterParams params;
+    params.num_processors = n;
+    params.tasks_per_processor = 2;
+    params.chain_length = 3;
+    const rts::SystemSpec spec = workloads::chain_cluster(params, 17);
+    const SparsePlantModel model = make_sparse_plant_model(spec);
+    MpcParams mpc;
+    mpc.prediction_horizon = 2;
+    mpc.control_horizon = 1;
+    HierarchicalParams hier;
+    hier.shard_size = 8;
+    hier.workers = workers;
+    HierarchicalMpcController ctrl(model, mpc, hier,
+                                   spec.initial_rate_vector());
+    ASSERT_EQ(ctrl.workers(), workers == 0 ? 1u : workers);
 
-  Vector u = model.b;
-  for (int k = 0; k < 40; ++k) {
-    perturb(u, model.b, k);
-    ctrl.update(u);
-  }
-
-  {
-    const CountScope scope;
-    for (int k = 0; k < 50; ++k) {
+    Vector u = model.b;
+    for (int k = 0; k < 40; ++k) {
       perturb(u, model.b, k);
       ctrl.update(u);
     }
+
+    {
+      const CountScope scope;
+      for (int k = 0; k < 50; ++k) {
+        perturb(u, model.b, k);
+        ctrl.update(u);
+      }
+    }
+    EXPECT_EQ(CountScope::count(), 0u) << "workers=" << ctrl.workers();
   }
-  EXPECT_EQ(CountScope::count(), 0u);
 }
 
 }  // namespace

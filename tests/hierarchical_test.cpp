@@ -1,12 +1,22 @@
 // Hierarchical (sharded) controller: shard construction invariants, the
 // coordinator's boundary reconciliation, and parity with the central MPC —
 // a single all-covering shard must reproduce it exactly, and sharded runs
-// must settle to the same steady state on every small-n scenario.
+// must settle to the same steady state on every small-n scenario. The
+// HierarchicalParallelTest suite covers the colored sweep: the coloring's
+// row separation, byte-identical rates for every worker count, and errors
+// raised on a worker thread reaching the caller.
 #include "control/hierarchical.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
+#include "common/check.h"
+#include "common/rng.h"
 
 #include "control/linear_plant.h"
 #include "control/sparse_model.h"
@@ -247,6 +257,151 @@ TEST(HierarchicalTest, RejectsBadConfig) {
   EXPECT_THROW(ctrl.update(Vector{0.5}), std::invalid_argument);
   EXPECT_THROW(ctrl.shard_tasks(99), std::invalid_argument);
   EXPECT_THROW(ctrl.shard_of_processor(99), std::invalid_argument);
+}
+
+
+// ---------------------------------------------------------------------------
+// The colored parallel sweep.
+// ---------------------------------------------------------------------------
+
+TEST(HierarchicalParallelTest, ColorsNeverShareARow) {
+  // Chain clusters are rings: 8 shards (n = 64) close an even cycle and
+  // need two colors, 125 (n = 1000) an odd one and need three.
+  for (const auto& [n, colors] : {std::pair{64, 2u}, std::pair{1000, 3u}}) {
+    const rts::SystemSpec spec = workloads::chain_cluster(chain_params(n), 23);
+    const SparsePlantModel model = make_sparse_plant_model(spec);
+    HierarchicalParams hier;
+    hier.shard_size = 8;
+    HierarchicalMpcController ctrl(model, cluster_params(), hier,
+                                   spec.initial_rate_vector());
+    ASSERT_EQ(ctrl.num_partitions(), 2u);
+    EXPECT_EQ(ctrl.num_colors(0), colors) << "n=" << n;
+    for (std::size_t part = 0; part < ctrl.num_partitions(); ++part) {
+      const std::size_t num_colors = ctrl.num_colors(part);
+      // seen_by[c][q]: the shard of color c that observes row q, if any.
+      std::vector<std::vector<std::size_t>> seen_by(
+          num_colors,
+          std::vector<std::size_t>(model.num_processors(),
+                                   HierarchicalMpcController::kNoColor));
+      for (std::size_t s = 0; s < ctrl.num_shards(part); ++s) {
+        const std::size_t c = ctrl.shard_color(s, part);
+        if (ctrl.shard_tasks(s, part).empty()) {
+          EXPECT_EQ(c, HierarchicalMpcController::kNoColor);
+          continue;
+        }
+        ASSERT_LT(c, num_colors) << "n=" << n << " shard " << s;
+        for (std::size_t q : ctrl.shard_rows(s, part)) {
+          EXPECT_EQ(seen_by[c][q], HierarchicalMpcController::kNoColor)
+              << "n=" << n << " partition " << part << ": shards "
+              << seen_by[c][q] << " and " << s << " of color " << c
+              << " share row " << q;
+          seen_by[c][q] = s;
+        }
+      }
+    }
+  }
+}
+
+TEST(HierarchicalParallelTest, RatesAreByteIdenticalForEveryWorkerCount) {
+  const rts::SystemSpec spec = workloads::chain_cluster(chain_params(1000), 29);
+  const SparsePlantModel model = make_sparse_plant_model(spec);
+  const Vector r0 = spec.initial_rate_vector();
+  std::vector<Vector> reference;
+  for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
+    HierarchicalParams hier;
+    hier.shard_size = 32;
+    hier.workers = workers;
+    HierarchicalMpcController ctrl(model, cluster_params(), hier, r0);
+    ASSERT_EQ(ctrl.workers(), workers);
+    SparseLinearPlant plant(model, Vector(model.num_processors(), 1.0), r0);
+    Rng rng(31);
+    for (std::size_t k = 0; k < 60; ++k) {
+      // Read a handful of processors off their set points each period so
+      // every color keeps solving real QPs.
+      Vector u = plant.utilization();
+      for (int d = 0; d < 10; ++d) {
+        const std::size_t p = rng.next_u64() % u.size();
+        u[p] = std::clamp(model.b[p] + rng.uniform(-0.05, 0.05), 0.0, 1.0);
+      }
+      const Vector& rates = ctrl.update(u);
+      if (workers == 1) {
+        reference.push_back(rates);
+      } else {
+        ASSERT_EQ(std::memcmp(rates.data().data(), reference[k].data().data(),
+                              rates.size() * sizeof(double)),
+                  0)
+            << "workers=" << workers << " period " << k;
+      }
+      plant.step(rates);
+    }
+  }
+}
+
+TEST(HierarchicalParallelTest, WorkerNumericErrorIsRethrownOnTheCaller) {
+  if (!kNumericChecksEnabled)
+    GTEST_SKIP() << "libraries built without EUCON_NUMERIC_CHECKS";
+  const rts::SystemSpec spec = workloads::chain_cluster(chain_params(1000), 37);
+  const SparsePlantModel model = make_sparse_plant_model(spec);
+  HierarchicalParams hier;
+  hier.shard_size = 32;
+  hier.workers = 4;
+  // The first update sweeps the base partition. Processor 32·s + 10 (or
+  // + 20) is interior to shard s: no other shard observes it, and the
+  // NaN shows up as "entry <its local row>" of that shard's input.
+  const auto shard_on_worker = [&](const HierarchicalMpcController& ctrl,
+                                   std::size_t worker) {
+    for (std::size_t s = 1; s + 1 < ctrl.num_shards(); ++s)
+      if (ctrl.shard_worker(s) == worker) return s;
+    ADD_FAILURE() << "no interior shard on worker " << worker;
+    return std::size_t{0};
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  {
+    HierarchicalMpcController ctrl(model, cluster_params(), hier,
+                                   spec.initial_rate_vector());
+    Vector u = model.b;
+    u[32 * shard_on_worker(ctrl, 2) + 10] = nan;
+    EXPECT_THROW(ctrl.update(u), NumericError);
+  }
+  {
+    // Two chunks throw; the lower participant's error wins.
+    HierarchicalMpcController ctrl(model, cluster_params(), hier,
+                                   spec.initial_rate_vector());
+    const std::size_t low = shard_on_worker(ctrl, 1);
+    const std::size_t high = shard_on_worker(ctrl, 3);
+    ASSERT_EQ(ctrl.shard_color(low), ctrl.shard_color(high));
+    Vector u = model.b;
+    u[32 * high + 20] = nan;
+    u[32 * low + 10] = nan;
+    const std::vector<std::size_t>& rows = ctrl.shard_rows(low);
+    const auto local_row =
+        std::find(rows.begin(), rows.end(), 32 * low + 10) - rows.begin();
+    const std::string expected = "entry " + std::to_string(local_row) + " of";
+    try {
+      ctrl.update(u);
+      ADD_FAILURE() << "expected NumericError";
+    } catch (const NumericError& e) {
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what() << " (expected " << expected << ")";
+    }
+  }
+}
+
+TEST(HierarchicalParallelTest, AutoWorkersKeepSmallSystemsSerial) {
+  // n = 64 at shard size 8: four shards per color, under the
+  // kMinShardsPerWorker floor, so auto mode starts no thread.
+  const rts::SystemSpec spec = workloads::chain_cluster(chain_params(64), 41);
+  const SparsePlantModel model = make_sparse_plant_model(spec);
+  HierarchicalParams hier;
+  hier.shard_size = 8;
+  HierarchicalMpcController ctrl(model, cluster_params(), hier,
+                                 spec.initial_rate_vector());
+  EXPECT_EQ(ctrl.workers(), 1u);
+
+  hier.workers = ForkJoinTeam::kMaxSize + 1;
+  EXPECT_THROW(HierarchicalMpcController(model, cluster_params(), hier,
+                                         spec.initial_rate_vector()),
+               std::invalid_argument);
 }
 
 }  // namespace

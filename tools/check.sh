@@ -8,7 +8,8 @@
 #   numeric        -DEUCON_NUMERIC_CHECKS=ON (std::isfinite guards in linalg/
 #                  qp/control; numeric_guard_test's injection tests activate)
 #   tsan           -DEUCON_SANITIZE=thread (opt-in via --tsan); runs the
-#                  concurrency-focused subset: thread-pool tests, batch
+#                  concurrency-focused subset: thread-pool and fork-join
+#                  tests, the sharded controller's parallel sweep, batch
 #                  engine determinism tests, the obs registry/trace
 #                  determinism tests, the bench_perf smoke run, and the
 #                  seeded lock-inversion cross-check (TSan must report
@@ -45,8 +46,9 @@
 #                              # determinism contract under TSan, and the
 #                              # BENCH_STEERING.json acceptance gate
 #   tools/check.sh --scale     # bench_scaling --smoke (sharded controller up
-#                              # to 10k processors) + schema and blowup gate
-#                              # on the checked-in BENCH_SCALING.json
+#                              # to 10k processors) + schema, blowup and
+#                              # thread-axis gate on the checked-in
+#                              # BENCH_SCALING.json
 #   tools/check.sh --release   # Release (-O3) build of every target with
 #                              # -Werror, then the linalg/qp/control tests
 #
@@ -259,8 +261,10 @@ EOF
 # parity, schema validation of the freshly emitted report), then holds the
 # *checked-in* BENCH_SCALING.json to the same contract: a full (non-smoke)
 # run covering every processor count, settled loops, parity within
-# tolerance on every n <= 128 scenario, and the superlinear-blowup guard —
-# the per-period cost at n=10k must stay under 100x the n=1k cost.
+# tolerance on every n <= 128 scenario, the superlinear-blowup guard —
+# the per-period cost at n=10k must stay under 100x the n=1k cost — and
+# the thread axis's honesty rule (a speedup only where the per-trial p50
+# intervals separate).
 run_scale() {
   local dir="$ROOT/build-default"
   echo "=== [scale] build bench_scaling ==="
@@ -295,6 +299,42 @@ for n in expected:
                         % (n, p["steady_err_max"]))
     if p["workspace_vars"] != p["max_shard_vars"]:
         problems.append("n=%d QP workspace not sized per shard" % n)
+# The thread axis (bench_scaling --threads 1,2,4): at every n >= 1k, each
+# worker count's period p50 over >= 3 interleaved trials with min <= p50 <=
+# max, and a speedup over one worker written exactly when the two min/max
+# intervals separate (the median ratio), null with a reason otherwise.
+if rep.get("schema_version", 0) < 2 or "hardware_concurrency" not in rep:
+    problems.append("schema_version < 2 or hardware_concurrency missing: "
+                    "regenerate with bench_scaling --threads 1,2,4")
+for n in (1000, 4000, 10000):
+    p = points[n]
+    timings = {t["workers"]: t for t in p.get("threads", [])}
+    if sorted(timings) != [1, 2, 4]:
+        problems.append("n=%d thread axis must time workers 1, 2 and 4" % n)
+        continue
+    for w, t in timings.items():
+        if t["trials"] < 3:
+            problems.append("n=%d workers=%d: fewer than 3 trials" % (n, w))
+        if not 0 < t["p50_min_us"] <= t["period_p50_us"] <= t["p50_max_us"]:
+            problems.append("n=%d workers=%d: p50 outside [min, max]" % (n, w))
+    one = timings[1]
+    speedups = {s["workers"]: s for s in p.get("speedup", [])}
+    if sorted(speedups) != [2, 4]:
+        problems.append("n=%d needs speedup entries for workers 2 and 4" % n)
+        continue
+    for w, s in speedups.items():
+        t = timings[w]
+        separated = (t["p50_max_us"] < one["p50_min_us"] or
+                     t["p50_min_us"] > one["p50_max_us"])
+        if s["speedup"] is None:
+            if separated or not s.get("reason"):
+                problems.append("n=%d workers=%d: null speedup needs "
+                                "overlapping intervals and a reason" % (n, w))
+        elif not separated or abs(s["speedup"] - one["period_p50_us"] /
+                                  t["period_p50_us"]) > 1e-6 * s["speedup"]:
+            problems.append("n=%d workers=%d: speedup written without "
+                            "separated intervals, or not the median ratio"
+                            % (n, w))
 blowup = points[10000]["period_p50_us"] / points[1000]["period_p50_us"]
 if blowup >= 100:
     problems.append("superlinear blowup: 10k period cost is %.1fx the 1k "
@@ -313,7 +353,7 @@ if problems:
     sys.exit("BENCH_SCALING.json: " + "; ".join(problems) +
              "; regenerate and investigate before publishing")
 print("BENCH_SCALING.json: n=16..10k all settled, blowup %.1fx, "
-      "parity OK -> OK" % blowup)
+      "parity OK, thread axis OK -> OK" % blowup)
 EOF
   echo "=== [scale] OK ==="
 }
@@ -379,6 +419,7 @@ RELEASE_TESTS+='|MpcExplicitGainTest|ExplicitGainParity|MpcGainsTest'
 RELEASE_TESTS+='|MpcMatricesTest|MpcParamsTest|MpcGainEstimateTest'
 RELEASE_TESTS+='|MpcGainSweep|PenaltyFormTest|StabilityTest'
 RELEASE_TESTS+='|StabilityPrediction|ModelTest|PidTest|HierarchicalTest'
+RELEASE_TESTS+='|HierarchicalParallelTest|ForkJoinTeamTest'
 RELEASE_TESTS+='|DecentralizedTest|DecentralizedAllocTest|AdaptiveMpcTest'
 RELEASE_TESTS+='|GainEstimatorTest|AdmissionGovernorTest'
 RELEASE_TESTS+='|ReallocationPlannerTest|OpenLoopTest|UncoordinatedTest'
@@ -451,13 +492,15 @@ case "$MODE" in
     configure_build_test asan-ubsan "-DEUCON_SANITIZE=address;undefined"
     configure_build_test numeric -DEUCON_NUMERIC_CHECKS=ON
     if [ "$TSAN" = 1 ]; then
-      # Focused on the concurrency surface: the thread pool, the parallel
+      # Focused on the concurrency surface: the thread pool, the fork-join
+      # team and the sharded controller's colored parallel sweep
+      # (byte-identical rates for every worker count), the parallel
       # batch engine (serial-vs-pool determinism), the observability layer
       # (shared registry + per-run trace sinks under pooled workers, golden
       # byte-stability under instrumentation), and the bench_perf smoke run
       # (pooled batch section + JSON schema validation).
       configure_build_test tsan \
-        --tests 'ThreadPoolTest|BatchTest|RegistryTest|TraceDeterminismTest|TraceGoldenTest|LockCrosscheckTest|bench_perf_smoke' \
+        --tests 'ThreadPoolTest|ForkJoinTeamTest|HierarchicalParallel|BatchTest|RegistryTest|TraceDeterminismTest|TraceGoldenTest|LockCrosscheckTest|bench_perf_smoke' \
         -DEUCON_SANITIZE=thread
       # Dynamic cross-check of the lint's lock-order-inversion rule: execute
       # the deliberately inverted (but sequential, so hang-free) two-mutex

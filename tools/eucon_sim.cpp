@@ -10,6 +10,7 @@
 //             --etf-steps 0:0.5,100000:0.9,200000:0.33
 //   eucon_sim --spec mytasks.txt --controller adaptive --etf 5 --summary
 //   eucon_sim --workload simple --trace-out trace.csv --periods 10
+//   eucon_sim --workload medium --controller hier --shard-size 2 --workers 2
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -32,7 +33,11 @@ using namespace eucon;
                "usage: %s [options]\n"
                "  --workload simple|simple-relaxed|medium|large   built-in task set\n"
                "  --spec FILE               load a task set (see rts/spec_io.h)\n"
-               "  --controller eucon|open|pid|deucon|adaptive|fcs-ind   (default eucon)\n"
+               "  --controller eucon|open|pid|deucon|adaptive|fcs-ind|hier   (default eucon)\n"
+               "  --shard-size N            hier: processors per shard (default 32)\n"
+               "  --workers N               hier: sweep threads incl. the caller\n"
+               "                            (default 0 = auto); in steering mode,\n"
+               "                            the batch worker threads\n"
                "  --etf X                   constant execution-time factor\n"
                "  --etf-steps t:f,t:f,...   piecewise execution-time factor\n"
                "  --jitter X                uniform exec jitter half-width (default 0.1)\n"
@@ -158,7 +163,11 @@ int main(int argc, char** argv) {
       else if (c == "deucon") cfg.controller = ControllerKind::kDecentralized;
       else if (c == "adaptive") cfg.controller = ControllerKind::kAdaptive;
       else if (c == "fcs-ind") cfg.controller = ControllerKind::kUncoordinated;
+      else if (c == "hier") cfg.controller = ControllerKind::kHierarchical;
       else usage(argv[0], "unknown controller: " + c);
+    } else if (flag == "--shard-size") {
+      cfg.hier.shard_size = static_cast<std::size_t>(
+          parse_double(argv[0], flag, next_value(i)));
     } else if (flag == "--etf") {
       cfg.sim.etf = rts::EtfProfile::constant(
           parse_double(argv[0], flag, next_value(i)));
@@ -276,8 +285,10 @@ int main(int argc, char** argv) {
     } else if (flag == "--steer-log") {
       steer_log = next_value(i);
     } else if (flag == "--workers") {
-      steer_opts.num_workers = static_cast<std::size_t>(
+      const auto workers = static_cast<std::size_t>(
           parse_double(argv[0], flag, next_value(i)));
+      steer_opts.num_workers = workers;
+      cfg.hier.workers = workers;
     } else if (flag == "--serial") {
       steer_opts.serial = true;
     } else if (flag == "--quiet") {
